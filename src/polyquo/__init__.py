@@ -35,9 +35,7 @@ from .shinv import (
     ShinvConfig,
     pow_diff,
     quo,
-    refine1,
-    refine2,
-    refine3,
+    refine,
     shinv,
     shinv0,
     step,
@@ -51,7 +49,6 @@ from .skew import (
     lshinv,
     make_lodo,
     rquo_via_lshinv,
-    rshift,
     rshinv,
     skew_classical_div,
     skew_mul,
@@ -88,9 +85,7 @@ __all__ = [
     "ShinvConfig",
     "pow_diff",
     "quo",
-    "refine1",
-    "refine2",
-    "refine3",
+    "refine",
     "shinv",
     "shinv0",
     "step",
@@ -102,7 +97,6 @@ __all__ = [
     "lshinv",
     "make_lodo",
     "rquo_via_lshinv",
-    "rshift",
     "rshinv",
     "skew_classical_div",
     "skew_mul",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .polynomial import DensePoly
-from .rings import GF, MatrixRing, PolyRing
+from .rings import GF, MatrixRing, PolyRing, is_prime_modulus
 from .skew import SkewPoly, make_lodo
 
 KINDS = ("gfp", "matrix", "polyring", "lodo")
@@ -48,7 +48,7 @@ def _check_ring(desc):
     kind = desc.get("kind")
     _require(kind in KINDS, "unknown ring kind %r" % (kind,))
     p = desc.get("p")
-    _require(isinstance(p, int) and p >= 2, "ring modulus must be an integer >= 2")
+    _require(is_prime_modulus(p), "ring modulus must be a prime below 2**31")
     if kind == "matrix":
         n = desc.get("n")
         _require(isinstance(n, int) and n >= 1, "matrix dimension must be a positive integer")
@@ -152,8 +152,6 @@ def to_poly(doc, name, context=None):
 
 def poly_payload(p):
     """The JSON coefficient payload for a DensePoly or SkewPoly."""
-    if isinstance(p, SkewPoly):
-        return [list(c) for c in p.coeffs]
     ring = p.ring
     if isinstance(ring, GF):
         return list(p.coeffs)

@@ -39,44 +39,35 @@ LEFT = Orientation.LEFT
 RIGHT = Orientation.RIGHT
 
 
-class DensePoly:
-    """An immutable dense polynomial over a :class:`~polyquo.rings.Ring`."""
+class CoeffPoly:
+    """The immutable coefficient-sequence core shared by dense and skew polynomials.
 
-    __slots__ = ("ring", "coeffs")
+    A subclass names the slot holding its ring context in ``_owner``, exposes
+    the coefficient ring as ``ring`` and supplies ``_same_ring``; the
+    constructor takes (owner, coeffs, normalized) and trims trailing zeros
+    unless told the sequence is already normalized.
+    """
 
-    def __init__(self, ring, coeffs, normalized=False):
+    __slots__ = ("coeffs",)
+    _owner = None
+
+    def __init__(self, owner, coeffs, normalized=False):
+        object.__setattr__(self, self._owner, owner)
         coeffs = tuple(coeffs)
         if not normalized:
             end = len(coeffs)
-            zero = ring.zero
+            zero = self.ring.zero
             while end > 0 and coeffs[end - 1] == zero:
                 end -= 1
             coeffs = coeffs[:end]
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
-        raise AttributeError("DensePoly is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, (), normalized=True)
-
-    @classmethod
-    def one(cls, ring):
-        return cls(ring, (ring.one,), normalized=True)
-
-    @classmethod
-    def monomial(cls, ring, c, n):
-        """The polynomial c * x**n."""
-        if ring.is_zero(c):
-            return cls.zero(ring)
-        return cls(ring, (ring.zero,) * n + (c,), normalized=True)
-
-    @classmethod
-    def from_ints(cls, ring, ints):
-        """Build from little-endian integers via the ring's canonical map."""
-        return cls(ring, [ring.from_int(n) for n in ints])
+    def _like(self, coeffs, normalized=False):
+        """A polynomial of the same kind and context with the given coefficients."""
+        return type(self)(getattr(self, self._owner), coeffs, normalized)
 
     @property
     def is_zero(self):
@@ -104,6 +95,48 @@ class DensePoly:
             return self.coeffs[i]
         return self.ring.zero
 
+    def __add__(self, other):
+        self._same_ring(other)
+        return self._like(_add_coeffs(self.ring, self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        self._same_ring(other)
+        return self._like(_sub_coeffs(self.ring, self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        neg = self.ring.neg
+        return self._like(tuple(neg(c) for c in self.coeffs), normalized=True)
+
+    def shift(self, n):
+        return shift(self, n)
+
+
+class DensePoly(CoeffPoly):
+    """An immutable dense polynomial over a :class:`~polyquo.rings.Ring`."""
+
+    __slots__ = ("ring",)
+    _owner = "ring"
+
+    @classmethod
+    def zero(cls, ring):
+        return cls(ring, (), normalized=True)
+
+    @classmethod
+    def one(cls, ring):
+        return cls(ring, (ring.one,), normalized=True)
+
+    @classmethod
+    def monomial(cls, ring, c, n):
+        """The polynomial c * x**n."""
+        if ring.is_zero(c):
+            return cls.zero(ring)
+        return cls(ring, (ring.zero,) * n + (c,), normalized=True)
+
+    @classmethod
+    def from_ints(cls, ring, ints):
+        """Build from little-endian integers via the ring's canonical map."""
+        return cls(ring, [ring.from_int(n) for n in ints])
+
     def _same_ring(self, other):
         if not isinstance(other, DensePoly):
             raise TypeError("expected a DensePoly, got %r" % (other,))
@@ -123,53 +156,26 @@ class DensePoly:
     def __repr__(self):
         return "DensePoly(%r, %r)" % (self.ring, list(self.coeffs))
 
-    def __add__(self, other):
-        self._same_ring(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.ring.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return DensePoly(self.ring, out)
-
-    def __sub__(self, other):
-        self._same_ring(other)
-        ring = self.ring
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        sub = ring.sub
-        zero = ring.zero
-        out = [
-            sub(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
-            for i in range(n)
-        ]
-        return DensePoly(ring, out)
-
-    def __neg__(self):
-        neg = self.ring.neg
-        return DensePoly(self.ring, tuple(neg(c) for c in self.coeffs), normalized=True)
-
     def __mul__(self, other):
         """Product in written order: self's coefficients stay on the left."""
         self._same_ring(other)
         return DensePoly(self.ring, _mul_coeffs(self.ring, self.coeffs, other.coeffs))
 
-    def shift(self, n):
-        return shift(self, n)
 
-
-def _mul_schoolbook(ring, a, b):
-    out = [ring.zero] * (len(a) + len(b) - 1)
+def _mul_schoolbook(ring, a, b, n=None):
+    """Schoolbook product of coefficient sequences, kept below x**n when n is given."""
+    size = len(a) + len(b) - 1
+    if n is not None and n < size:
+        size = n
+    out = [ring.zero] * size
     add = ring.add
     mul = ring.mul
     zero = ring.zero
     for i, ai in enumerate(a):
         if ai == zero:
             continue
-        for j, bj in enumerate(b):
-            out[i + j] = add(out[i + j], mul(ai, bj))
+        for j, bj in enumerate(b[: size - i], i):
+            out[j] = add(out[j], mul(ai, bj))
     return out
 
 
@@ -236,14 +242,15 @@ def mul_oriented(u, v, orientation):
 
 
 def shift(u, n):
-    """Whole n-shift: multiply by x**n, dropping terms whose exponent would go negative."""
+    """Whole n-shift: multiply by x**n, dropping terms whose exponent would go negative.
+
+    For skew polynomials this is the right whole shift sum(c_i x**(i+n)).
+    """
     if n == 0 or u.is_zero:
         return u
     if n > 0:
-        return DensePoly(
-            u.ring, (u.ring.zero,) * n + u.coeffs, normalized=True
-        )
-    return DensePoly(u.ring, u.coeffs[-n:], normalized=True)
+        return u._like((u.ring.zero,) * n + u.coeffs, normalized=True)
+    return u._like(u.coeffs[-n:], normalized=True)
 
 
 def mul_mod(u, v, n, orientation=RIGHT):
@@ -261,16 +268,7 @@ def mul_mod(u, v, n, orientation=RIGHT):
     aa = a.coeffs[:n]
     bb = b.coeffs[:n]
     if min(len(aa), len(bb)) <= KARATSUBA_THRESHOLD:
-        add = ring.add
-        mul = ring.mul
-        zero = ring.zero
-        out = [zero] * min(n, len(aa) + len(bb) - 1)
-        for i, ai in enumerate(aa):
-            if ai == zero:
-                continue
-            for j in range(min(len(bb), n - i)):
-                out[i + j] = add(out[i + j], mul(ai, bb[j]))
-        return DensePoly(ring, out)
+        return DensePoly(ring, _mul_schoolbook(ring, aa, bb, n))
     return DensePoly(ring, _mul_coeffs(ring, aa, bb)[:n])
 
 

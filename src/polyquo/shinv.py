@@ -8,19 +8,22 @@ the classical operand order:
     w  <-  w + shift(w * (x**h - v*w), -h)        (RIGHT orientation)
     w  <-  w + shift((x**h - w*v) * w, -h)        (LEFT orientation)
 
-Three refinement strategies are provided.  ``refine1`` works at full length
-throughout; ``refine2`` grows the working value from 2 coefficients, roughly
-doubling the accurate prefix each pass; ``refine3`` additionally truncates the
-divisor to the prefix that can influence the coefficients being computed.
+One loop, :func:`refine`, runs the iteration; each pass doubles the accurate
+prefix of w.  ``ShinvConfig.refine`` picks one of three configurations of it:
+
+    1   full width: w is held at its final width h-k+1 throughout, and the
+        configured guard steps follow the loop;
+    2   growing: w starts with 2 coefficients and grows by
+        m = min(target - l, l) places per pass;
+    3   growing with a truncated divisor: as 2, but each pass also drops the
+        divisor coefficients that cannot influence the places it computes.
+
 All three return the exact whole shifted inverse.
 
 Quotients follow from the shifted inverse: with h = deg u,
 
     u rquo v = shift(u * shinv(v, h+1), -h-1)
     u lquo v = shift(shinv(v, h+1) * u, -h-1)
-
-The ``guard``/``shortfall`` knobs in :class:`ShinvConfig` only engage for
-carry-propagating domains; polynomial domains have no carries, so they stay 0.
 """
 
 from dataclasses import dataclass, field
@@ -32,23 +35,15 @@ from .polynomial import DensePoly, RIGHT, mul_mod, mul_oriented, shift
 class ShinvConfig:
     """Knobs for the shifted-inverse refinement.
 
+    ``refine`` selects the configuration of :func:`refine` (1, 2 or 3).
     ``extra_guard_steps`` is the number of defensive full-width iterations
-    refine1 runs after its doubling loop; ``None`` picks the default of 1 for
+    refine 1 runs after its doubling loop; ``None`` picks the default of 1 for
     non-commutative coefficient rings and 0 for commutative ones.  Exactness
-    never depends on it in carry-free domains, and the division tests enforce
-    exactness either way.
+    never depends on it, and the division tests enforce exactness either way.
     """
 
-    has_carries: bool = False
-    guard: int = 0
-    shortfall: int = 0
     refine: int = 3
     extra_guard_steps: int | None = None
-
-    def guard_shortfall(self):
-        if self.has_carries:
-            return self.guard, self.shortfall
-        return 0, 0
 
     def guard_steps_for(self, ring):
         if self.extra_guard_steps is not None:
@@ -117,73 +112,40 @@ def step(h, v, w, grow, accurate, orientation=RIGHT):
     return shift(w, grow) + shift(mul_oriented(w, pd, orientation), 2 * grow - h)
 
 
-def refine1(v, h, k, w, accurate, cfg, orientation=RIGHT, trace=None):
-    """Refine at full length, doubling the accurate prefix each pass.
+# refine -> (full_width, truncate_divisor)
+_REFINE_CONFIGS = {1: (True, False), 2: (False, False), 3: (False, True)}
 
-    The starting value is scaled to the full width h-k+1 of the result; the
-    loop then runs at most ceil(log2(h-k)) passes, followed by the configured
-    guard steps (no-ops once w is exact).
+
+def refine(v, h, k, w, accurate, cfg, orientation=RIGHT, trace=None):
+    """Refine w, accurate in its top ``accurate`` places, to the whole shifted inverse.
+
+    Each pass extends the accurate prefix from l to min(2l, h-k+1) places.
+    At full width w is scaled to h-k+1 coefficients up front and every pass
+    works at shift h; otherwise w grows by m = min(h-k+1 - l, l) per pass.
+    Truncating the divisor drops its max(0, k - 2(l+m) + 1) lowest
+    coefficients, since a pass reaching l+m places only depends on the top
+    2(l+m) of them.
     """
-    g, d = cfg.guard_shortfall()
-    h = h + g
-    w = shift(w, h - k + 1 - accurate)
-    while h - k + 1 - d > accurate:
-        w = step(h, v, w, 0, accurate, orientation)
-        accurate = min(2 * accurate - d, h - k + 1 - d)
+    try:
+        full_width, truncate = _REFINE_CONFIGS[cfg.refine]
+    except KeyError:
+        raise ValueError("unknown refine variant %r" % (cfg.refine,)) from None
+    target = h - k + 1
+    if full_width:
+        w = shift(w, target - accurate)
+    while target > accurate:
+        grow = 0 if full_width else min(target - accurate, accurate)
+        drop = max(0, k - 2 * (accurate + grow) + 1) if truncate else 0
+        top = h if full_width else k + accurate + grow - 1
+        w = step(top - drop, shift(v, -drop), w, grow, accurate, orientation)
+        accurate = min(2 * accurate, target)
         if trace is not None:
-            trace.record(accurate, w, 0, 0)
-    for _ in range(cfg.guard_steps_for(v.ring)):
+            trace.record(accurate, w, grow, drop)
+    for _ in range(cfg.guard_steps_for(v.ring) if full_width else 0):
         w = step(h, v, w, 0, accurate, orientation)
         if trace is not None:
             trace.guard_steps += 1
     return w
-
-
-def refine2(v, h, k, w, accurate, cfg, orientation=RIGHT, trace=None):
-    """Refine a short working value, growing it by m = min(target - l, l) per pass."""
-    g, d = cfg.guard_shortfall()
-    w = shift(w, g)
-    while h - k + 1 - d > accurate:
-        grow = min(h - k + 1 - accurate, accurate)
-        w = shift(
-            step(k + accurate + grow + d - 1 + g, v, w, grow, accurate - g, orientation),
-            -d,
-        )
-        accurate = accurate + grow - d
-        if trace is not None:
-            trace.record(accurate, w, grow, 0)
-    return w
-
-
-def refine3(v, h, k, w, accurate, cfg, orientation=RIGHT, trace=None):
-    """Like refine2, but also drops divisor coefficients that cannot matter.
-
-    A pass that extends the accurate prefix to l+m places only depends on the
-    top 2(l+m) coefficients of the divisor, so the rest is shifted away.
-    """
-    g, d = cfg.guard_shortfall()
-    w = shift(w, g)
-    while h - k + 1 - d > accurate:
-        grow = min(h - k + 1 - accurate, accurate)
-        drop = max(0, k - 2 * (accurate + grow) + 1 - g)
-        w = shift(
-            step(
-                k + accurate + grow - drop - 1 + d + g,
-                shift(v, -drop),
-                w,
-                grow,
-                accurate - g,
-                orientation,
-            ),
-            -d,
-        )
-        accurate = accurate + grow - d
-        if trace is not None:
-            trace.record(accurate, w, grow, drop)
-    return shift(w, -g)
-
-
-_REFINES = {1: refine1, 2: refine2, 3: refine3}
 
 
 def shinv(v, h, cfg=None, orientation=RIGHT, trace=None):
@@ -207,10 +169,6 @@ def shinv(v, h, cfg=None, orientation=RIGHT, trace=None):
     if cfg is None:
         cfg = ShinvConfig()
     w, accurate = shinv0(v)
-    try:
-        refine = _REFINES[cfg.refine]
-    except KeyError:
-        raise ValueError("unknown refine variant %r" % (cfg.refine,)) from None
     return refine(v, h, k, w, accurate, cfg, orientation, trace)
 
 

@@ -11,7 +11,10 @@ division operations support.  Left and right whole shifts and shifted
 inverses genuinely differ here, and only the right quotient can be recovered
 from the (left) shifted inverse:
 
-    u rquo v = rshift(u * lshinv(v, h), -h),   h = deg u.
+    u rquo v = shift(u * lshinv(v, h), -h),   h = deg u,
+
+where ``shift`` is the right whole shift sum(c_i x**(i+n)), a pure index
+shift shared with dense polynomials.
 
 The left shifted inverse is found by the same Newton-Schulz shaped update as
 for central variables, but it may gain as little as one correct coefficient
@@ -25,7 +28,7 @@ from .errors import (
     NotMonic,
     UnsupportedSigma,
 )
-from .polynomial import RIGHT
+from .polynomial import RIGHT, CoeffPoly, shift
 from .rings import GF, PolyRing
 
 
@@ -48,15 +51,24 @@ class OrePair:
     def is_differential(self):
         return self.sigma is None
 
+    def _key(self):
+        return _map_key(self.sigma), _map_key(self.delta)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, OrePair)
-            and other.sigma is self.sigma
-            and other.delta is self.delta
-        )
+        return isinstance(other, OrePair) and other._key() == self._key()
 
     def __hash__(self):
-        return hash((id(self.sigma), id(self.delta)))
+        return hash(self._key())
+
+
+def _map_key(f):
+    """A map compared by value: bound methods of equal rings are the same map.
+
+    Python compares bound methods by the identity of their instance, so two
+    equal coefficient rings would otherwise give unequal derivations.
+    """
+    func = getattr(f, "__func__", None)
+    return f if func is None else (func, f.__self__)
 
 
 class SkewPolyRing:
@@ -77,6 +89,9 @@ class SkewPolyRing:
             and other.ore == self.ore
             and other.var == self.var
         )
+
+    def __hash__(self):
+        return hash((self.ring, self.ore, self.var))
 
     def zero(self):
         return SkewPoly(self, ())
@@ -103,51 +118,17 @@ class SkewPolyRing:
         return self.ring.zero if self.ore.delta is None else self.ore.delta(c)
 
 
-class SkewPoly:
+class SkewPoly(CoeffPoly):
     """An immutable skew polynomial sum(c_i x**i) with coefficients on the left."""
 
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx, coeffs):
-        coeffs = tuple(coeffs)
-        zero = ctx.ring.zero
-        end = len(coeffs)
-        while end > 0 and coeffs[end - 1] == zero:
-            end -= 1
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs[:end])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewPoly is immutable")
+    __slots__ = ("ctx",)
+    _owner = "ctx"
 
     @property
     def ring(self):
         return self.ctx.ring
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    @property
-    def prec(self):
-        return len(self.coeffs)
-
-    @property
-    def lc(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ring.zero
-
-    def _same_ctx(self, other):
+    def _same_ring(self, other):
         if not isinstance(other, SkewPoly):
             raise TypeError("expected a SkewPoly, got %r" % (other,))
         if not (self.ctx is other.ctx or self.ctx == other.ctx):
@@ -165,24 +146,6 @@ class SkewPoly:
 
     def __repr__(self):
         return "SkewPoly(%r)" % (list(self.coeffs),)
-
-    def __add__(self, other):
-        self._same_ctx(other)
-        ring = self.ring
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ring.add(out[i], c)
-        return SkewPoly(self.ctx, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        neg = self.ring.neg
-        return SkewPoly(self.ctx, tuple(neg(c) for c in self.coeffs))
 
     def __mul__(self, other):
         return skew_mul(self, other)
@@ -205,7 +168,7 @@ def skew_mul(a, b):
     x**i * b is built incrementally by i applications of the commutation
     rule, then scaled on the left by a's coefficient.
     """
-    a._same_ctx(b)
+    a._same_ring(b)
     ctx = a.ctx
     ring = ctx.ring
     if a.is_zero or b.is_zero:
@@ -265,15 +228,6 @@ def lshift(v, n):
     return skew_mul(v.ctx.monomial(v.ring.one, n), v)
 
 
-def rshift(v, n):
-    """Right whole n-shift sum(c_i x**(i+n)): a pure index shift, dropping negatives."""
-    if n == 0 or v.is_zero:
-        return v
-    if n > 0:
-        return SkewPoly(v.ctx, (v.ring.zero,) * n + v.coeffs)
-    return SkewPoly(v.ctx, v.coeffs[-n:])
-
-
 def skew_classical_div(u, v, orientation=RIGHT):
     """Classical left/right division of differential operators.
 
@@ -281,7 +235,7 @@ def skew_classical_div(u, v, orientation=RIGHT):
     deg r < deg v.  Requires identity sigma and an invertible leading
     coefficient of v.
     """
-    u._same_ctx(v)
+    u._same_ring(v)
     ctx = u.ctx
     if not ctx.ore.is_differential:
         raise UnsupportedSigma("classical skew division needs an identity sigma")
@@ -312,7 +266,7 @@ def skew_classical_div(u, v, orientation=RIGHT):
 def lshinv(v, h, trace=None):
     """Left whole h-shifted inverse x**h lquo v for monic differential v.
 
-    Iterates w <- w + rshift(w * (x**h - v*w), -h) until the residual
+    Iterates w <- w + shift(w * (x**h - v*w), -h) until the residual
     x**h - v*w drops below deg v, which certifies w exactly.  Each pass may
     add only one correct coefficient, so up to h-k+1 updates are allowed
     before NoConvergence is raised.  ``trace``, if given, collects the
@@ -344,7 +298,7 @@ def lshinv(v, h, trace=None):
             )
         if trace is not None:
             trace.append(rho.degree)
-        w = w + rshift(skew_mul(w, rho), -h)
+        w = w + shift(skew_mul(w, rho), -h)
         updates += 1
 
 
@@ -358,10 +312,10 @@ def rshinv(v, h):
 def rquo_via_lshinv(u, v):
     """Right quotient and remainder from the left shifted inverse.
 
-    With h = deg u:  q = rshift(u * lshinv(v, h), -h),  r = u - q*v.
+    With h = deg u:  q = shift(u * lshinv(v, h), -h),  r = u - q*v.
     Requires monic differential v.
     """
-    u._same_ctx(v)
+    u._same_ring(v)
     ctx = u.ctx
     if v.is_zero:
         raise ZeroDivisionError("skew division by zero")
@@ -370,7 +324,7 @@ def rquo_via_lshinv(u, v):
         return ctx.zero(), ctx.zero()
     h = u.degree
     iv = lshinv(v, h)
-    q = rshift(skew_mul(u, iv), -h)
+    q = shift(skew_mul(u, iv), -h)
     r = u - skew_mul(q, v)
     return q, r
 

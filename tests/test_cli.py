@@ -107,6 +107,18 @@ class TestDivide:
         code, _ = run_cli(capsys, "divide", str(path), "--method", "classical")
         assert code == 3
 
+    def test_non_prime_modulus_exits_2(self, capsys, tmp_path):
+        doc = {
+            "ring": {"kind": "gfp", "p": 4, "var": "x"},
+            "polys": {"u": [1, 2, 3], "v": [1, 2]},
+        }
+        path = tmp_path / "p4.json"
+        path.write_text(json.dumps(doc))
+        for method in ("classical", "fast", "pseudo"):
+            code, out = run_cli(capsys, "divide", str(path), "--method", method)
+            assert code == 2
+            assert out == ""
+
     def test_pseudo_division_gfp(self, capsys, tmp_path):
         doc = {
             "ring": {"kind": "gfp", "p": 7, "var": "x"},
@@ -217,3 +229,9 @@ class TestBench:
     def test_bad_ring_spec_exits_2(self, capsys):
         code, _ = run_cli(capsys, "bench", "--degrees", "2", "--ring", "nope:1:2")
         assert code == 2
+
+    def test_non_prime_ring_spec_exits_2(self, capsys):
+        for spec in ("gfp:4", "matrix:4:2", "gfp:2147483648"):
+            code, out = run_cli(capsys, "bench", "--degrees", "2", "--ring", spec)
+            assert code == 2
+            assert out == ""

@@ -71,6 +71,13 @@ class TestValidation:
         with pytest.raises(ParseError):
             parse_document('{"ring": {"kind": "gfp", "p": 7}, "polys": {"v": [-1]}}')
 
+    def test_rejects_non_prime_or_large_modulus(self):
+        for p in (4, 1, 2**31 - 2, 2**31 + 11, "7"):
+            text = json.dumps({"ring": {"kind": "gfp", "p": p}, "polys": {}})
+            with pytest.raises(ParseError):
+                parse_document(text)
+        parse_document(json.dumps({"ring": {"kind": "gfp", "p": 2**31 - 1}, "polys": {}}))
+
     def test_rejects_ragged_matrix(self):
         text = json.dumps(
             {

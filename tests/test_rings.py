@@ -24,9 +24,18 @@ class TestGF:
             assert F.inv(a) == egcd_inverse(a, 127)
         assert F.inv(2) == 64
 
+    def test_rejects_non_prime_or_large_modulus(self):
+        for p in (0, 1, 4, 9, 91, 561, 2**31 - 2, 2**31 + 11):
+            with pytest.raises(ValueError):
+                GF(p)
+        assert GF(2).inv(1) == 1
+        assert GF(2**31 - 1).inv(2) == 2**30
+
     def test_inv_zero_raises_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             GF(7).inv(0)
+        with pytest.raises(NotInvertible):
+            GF(127).inv(254)
 
     def test_closure_and_axioms(self):
         rng = random.Random(1)

@@ -191,18 +191,15 @@ class TestRefines:
     def test_config_defaults(self):
         cfg = ShinvConfig()
         assert cfg.refine == 3
-        assert cfg.has_carries is False
-        assert cfg.guard_shortfall() == (0, 0)
 
-    def test_guard_shortfall_inert_without_carries(self):
-        # carry-free domains force g = d = 0 whatever the knobs say
+    def test_unknown_refine_raises(self):
         rng = random.Random(42)
         v = rand_poly(GF(127), rng, 4, unit_lead=True)
-        weird = ShinvConfig(guard=5, shortfall=2)
-        assert weird.guard_shortfall() == (0, 0)
-        for r in (1, 2, 3):
-            weird_r = ShinvConfig(guard=5, shortfall=2, refine=r)
-            assert shinv(v, 11, weird_r) == shinv(v, 11, ShinvConfig(refine=r))
+        u = rand_poly(GF(127), rng, 11)
+        with pytest.raises(ValueError):
+            shinv(v, 11, ShinvConfig(refine=4))
+        with pytest.raises(ValueError):
+            quo(u, v, RIGHT, ShinvConfig(refine=4))
 
     def test_guard_steps_default_and_trace(self):
         rng = random.Random(37)

@@ -15,8 +15,8 @@ from polyquo import (
     lshinv,
     make_lodo,
     rquo_via_lshinv,
-    rshift,
     rshinv,
+    shift,
     skew_classical_div,
     skew_mul,
     skew_pow,
@@ -73,6 +73,15 @@ class TestLodoConstruction:
             lhs = R.diff(R.mul(r, s))
             rhs = R.add(R.mul(r, R.diff(s)), R.mul(R.diff(r), s))
             assert lhs == rhs
+
+    def test_separately_built_contexts_are_one_ring(self):
+        a, b = make_lodo(127), make_lodo(127)
+        assert a.ore == b.ore and hash(a.ore) == hash(b.ore)
+        assert a == b and hash(a) == hash(b)
+        assert a.x() + b.x() == a.poly([R.zero, c(2)])
+        assert a.x() - b.x() == a.zero()
+        assert a.x() == b.x() and hash(a.x()) == hash(b.x())
+        assert make_lodo(131).ore != a.ore
 
     def test_ore_pair_laws_for_lodo(self):
         # sigma is the identity (an endomorphism trivially); delta additive
@@ -200,15 +209,15 @@ class TestShifts:
         rng = random.Random(61)
         for _ in range(20):
             v = rand_op(rng, rng.randrange(0, 5))
-            assert rshift(rshift(v, 3), -3) == v
+            assert shift(shift(v, 3), -3) == v
 
     def test_rshift_drops_low_terms(self):
         yd_plus_1 = op((1,), (0, 1))
-        assert rshift(yd_plus_1, -1) == LODO.poly([c(0, 1)])
+        assert shift(yd_plus_1, -1) == LODO.poly([c(0, 1)])
 
     def test_left_and_right_shift_differ(self):
         y = LODO.poly([c(0, 1)])
-        assert rshift(y, 1) != lshift(y, 1)
+        assert shift(y, 1) != lshift(y, 1)
 
 
 class TestSkewClassicalDiv:
