@@ -32,7 +32,6 @@ from .rings import GF, MatrixRing, PolyRing, Ring
 from .shinv import (
     IterationRecord,
     IterationTrace,
-    ShinvConfig,
     pow_diff,
     quo,
     refine,
@@ -82,7 +81,6 @@ __all__ = [
     "Ring",
     "IterationRecord",
     "IterationTrace",
-    "ShinvConfig",
     "pow_diff",
     "quo",
     "refine",

@@ -13,6 +13,7 @@ import time
 from .documents import (
     PolyDocument,
     build_ring,
+    check_ring,
     emit_document,
     load_document,
     poly_payload,
@@ -27,12 +28,17 @@ from .errors import (
     ParseError,
     UnsupportedSigma,
 )
-from .polynomial import LEFT, RIGHT, DensePoly, classical_div, mul_oriented, pseudo_div
-from .rings import GF, MatrixRing
-from .shinv import IterationTrace, ShinvConfig, quo, shinv
+from .polynomial import RIGHT, DensePoly, Orientation, classical_div, mul_oriented, pseudo_div
+from .shinv import IterationTrace, quo, shinv
 from .skew import rquo_via_lshinv, skew_classical_div
 
+
+class UnsupportedOperation(ValueError):
+    pass
+
+
 ALGEBRAIC_ERRORS = (
+    UnsupportedOperation,
     NotInvertible,
     NotCentral,
     NotMonic,
@@ -41,14 +47,6 @@ ALGEBRAIC_ERRORS = (
     NoConvergence,
     ZeroDivisionError,
 )
-
-
-class UnsupportedOperation(ValueError):
-    pass
-
-
-def _orientation(side):
-    return LEFT if side == "left" else RIGHT
 
 
 def _residual_ok(u, v, q, r, side, method):
@@ -62,10 +60,10 @@ def _residual_ok(u, v, q, r, side, method):
         for _ in range(e):
             m = ring.mul(m, v.lc)
         mm = DensePoly(ring, (m,))
-        lhs = mul_oriented(u, mm, _orientation(side))
+        lhs = mul_oriented(u, mm, side)
     else:
         lhs = u
-    prod = mul_oriented(q, v, _orientation(side))
+    prod = mul_oriented(q, v, side)
     return lhs == prod + r
 
 
@@ -77,11 +75,12 @@ def cmd_divide(args):
     v = to_poly(doc, "v", ctx)
     if v.is_zero:
         raise ZeroDivisionError("divisor is zero")
+    side = Orientation(args.side)
     if kind == "lodo":
         if args.method == "classical":
-            q, r = skew_classical_div(u, v, _orientation(args.side))
+            q, r = skew_classical_div(u, v, side)
         elif args.method == "fast":
-            if args.side != "right":
+            if side is not RIGHT:
                 raise UnsupportedOperation(
                     "only the right quotient of a skew polynomial can be"
                     " computed from the shifted inverse"
@@ -91,13 +90,12 @@ def cmd_divide(args):
             raise UnsupportedOperation("pseudodivision is not defined for skew polynomials")
     else:
         if args.method == "classical":
-            q, r = classical_div(u, v, _orientation(args.side))
+            q, r = classical_div(u, v, side)
         elif args.method == "fast":
-            cfg = ShinvConfig(refine=args.refine)
-            q, r = quo(u, v, _orientation(args.side), cfg)
+            q, r = quo(u, v, side, args.refine)
         else:
-            q, r = pseudo_div(u, v, _orientation(args.side))
-    ok = _residual_ok(u, v, q, r, args.side, args.method)
+            q, r = pseudo_div(u, v, side)
+    ok = _residual_ok(u, v, q, r, side, args.method)
     out = PolyDocument(ring=doc.ring, polys={"q": poly_payload(q), "r": poly_payload(r)})
     extra = {
         "result": {
@@ -111,6 +109,8 @@ def cmd_divide(args):
 
 
 def cmd_shinv(args):
+    if args.h < 0:
+        raise ParseError("--h must be a non-negative integer, got %d" % args.h)
     doc = load_document(args.input)
     kind = doc.ring["kind"]
     if kind == "lodo":
@@ -119,9 +119,8 @@ def cmd_shinv(args):
         )
     ctx = build_ring(doc.ring)
     v = to_poly(doc, "v", ctx)
-    trace = IterationTrace()
-    cfg = ShinvConfig(refine=args.refine)
-    w = shinv(v, args.h, cfg, RIGHT, trace)
+    trace = IterationTrace() if args.trace else None
+    w = shinv(v, args.h, args.refine, RIGHT, trace)
     out = PolyDocument(ring=doc.ring, polys={"shinv": poly_payload(w)})
     extra = {"result": {"h": args.h, "refine": args.refine}}
     if args.trace:
@@ -141,16 +140,22 @@ def cmd_shinv(args):
     return 0
 
 
+# bench ring spec kind -> the descriptor keys its numbers fill, in order
+RING_SPEC_KEYS = {"gfp": ("p",), "matrix": ("p", "n")}
+
+
 def parse_ring_spec(spec):
-    parts = spec.split(":")
+    """The ring of a spec gfp:P or matrix:P:N, checked as a document's ring is."""
+    kind, *numbers = spec.split(":")
+    keys = RING_SPEC_KEYS.get(kind, ())
     try:
-        if parts[0] == "gfp" and len(parts) == 2:
-            return GF(int(parts[1]))
-        if parts[0] == "matrix" and len(parts) == 3:
-            return MatrixRing(int(parts[2]), GF(int(parts[1])))
+        values = [int(n) for n in numbers]
     except ValueError:
-        pass
-    raise ParseError("ring spec must be gfp:P or matrix:P:N, got %r" % spec)
+        values = None
+    if not keys or values is None or len(values) != len(keys):
+        raise ParseError("ring spec must be gfp:P or matrix:P:N, got %r" % spec)
+    desc = dict(zip(keys, values), kind=kind)
+    return build_ring(check_ring(desc))
 
 
 def random_poly(ring, rng, degree):
@@ -193,8 +198,7 @@ def run_bench(ring, sizes, seed=0, repeat=1, methods=BENCH_METHODS):
                 if method == "classical":
                     classical_div(u, v, RIGHT)
                 else:
-                    cfg = ShinvConfig(refine=int(method[-1]))
-                    quo(u, v, RIGHT, cfg, trace)
+                    quo(u, v, RIGHT, int(method[-1]), trace)
                 elapsed = time.perf_counter_ns() - t0
                 mul_count = ring.mul_count - before
                 iterations = trace.iterations
@@ -204,7 +208,14 @@ def run_bench(ring, sizes, seed=0, repeat=1, methods=BENCH_METHODS):
 
 
 def cmd_bench(args):
-    sizes = [int(s) for s in args.degrees.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.degrees.split(",") if s]
+    except ValueError:
+        sizes = None
+    if sizes is None or any(n < 0 for n in sizes):
+        raise ParseError(
+            "--degrees must be comma-separated non-negative integers, got %r" % args.degrees
+        )
     ring = parse_ring_spec(args.ring)
     rows = run_bench(ring, sizes, seed=args.seed, repeat=args.repeat)
     lines = ["method,N,iterations,mulCount,nanos"]
@@ -264,9 +275,6 @@ def main(argv=None):
     except (ParseError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except UnsupportedOperation as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     except ALGEBRAIC_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -43,7 +43,7 @@ def _require(cond, message):
         raise ParseError(message)
 
 
-def _check_ring(desc):
+def check_ring(desc):
     _require(isinstance(desc, dict), "ring descriptor must be an object")
     kind = desc.get("kind")
     _require(kind in KINDS, "unknown ring kind %r" % (kind,))
@@ -98,7 +98,7 @@ def parse_document(text):
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc) from None
     _require(isinstance(data, dict), "document must be a JSON object")
-    desc = _check_ring(data.get("ring"))
+    desc = check_ring(data.get("ring"))
     polys = data.get("polys")
     _require(isinstance(polys, dict), "document needs a 'polys' object")
     for name, coeffs in polys.items():

@@ -107,9 +107,6 @@ class CoeffPoly:
         neg = self.ring.neg
         return self._like(tuple(neg(c) for c in self.coeffs), normalized=True)
 
-    def shift(self, n):
-        return shift(self, n)
-
 
 class DensePoly(CoeffPoly):
     """An immutable dense polynomial over a :class:`~polyquo.rings.Ring`."""

@@ -40,9 +40,6 @@ class Ring:
     def inv(self, a):
         raise NotImplementedError
 
-    def eq(self, a, b):
-        return a == b
-
     def is_zero(self, a):
         return a == self.zero
 

@@ -9,10 +9,12 @@ the classical operand order:
     w  <-  w + shift((x**h - w*v) * w, -h)        (LEFT orientation)
 
 One loop, :func:`refine`, runs the iteration; each pass doubles the accurate
-prefix of w.  ``ShinvConfig.refine`` picks one of three configurations of it:
+prefix of w.  The ``variant`` argument of :func:`shinv` and :func:`quo` picks
+one of three configurations of it (None means 3):
 
-    1   full width: w is held at its final width h-k+1 throughout, and the
-        configured guard steps follow the loop;
+    1   full width: w is held at its final width h-k+1 throughout; over a
+        non-commutative coefficient ring one more full-width guard pass
+        follows the loop;
     2   growing: w starts with 2 coefficients and grows by
         m = min(target - l, l) places per pass;
     3   growing with a truncated divisor: as 2, but each pass also drops the
@@ -29,26 +31,6 @@ Quotients follow from the shifted inverse: with h = deg u,
 from dataclasses import dataclass, field
 
 from .polynomial import DensePoly, RIGHT, mul_mod, mul_oriented, shift
-
-
-@dataclass
-class ShinvConfig:
-    """Knobs for the shifted-inverse refinement.
-
-    ``refine`` selects the configuration of :func:`refine` (1, 2 or 3).
-    ``extra_guard_steps`` is the number of defensive full-width iterations
-    refine 1 runs after its doubling loop; ``None`` picks the default of 1 for
-    non-commutative coefficient rings and 0 for commutative ones.  Exactness
-    never depends on it, and the division tests enforce exactness either way.
-    """
-
-    refine: int = 3
-    extra_guard_steps: int | None = None
-
-    def guard_steps_for(self, ring):
-        if self.extra_guard_steps is not None:
-            return self.extra_guard_steps
-        return 0 if ring.is_commutative else 1
 
 
 @dataclass
@@ -112,11 +94,18 @@ def step(h, v, w, grow, accurate, orientation=RIGHT):
     return shift(w, grow) + shift(mul_oriented(w, pd, orientation), 2 * grow - h)
 
 
-# refine -> (full_width, truncate_divisor)
-_REFINE_CONFIGS = {1: (True, False), 2: (False, False), 3: (False, True)}
+# variant -> (full_width, truncate_divisor); None is the default, 3
+_VARIANTS = {1: (True, False), 2: (False, False), 3: (False, True), None: (False, True)}
 
 
-def refine(v, h, k, w, accurate, cfg, orientation=RIGHT, trace=None):
+def _variant(variant):
+    try:
+        return _VARIANTS[variant]
+    except (KeyError, TypeError):
+        raise ValueError("unknown refine variant %r" % (variant,)) from None
+
+
+def refine(v, h, k, w, accurate, variant=None, orientation=RIGHT, trace=None):
     """Refine w, accurate in its top ``accurate`` places, to the whole shifted inverse.
 
     Each pass extends the accurate prefix from l to min(2l, h-k+1) places.
@@ -124,12 +113,10 @@ def refine(v, h, k, w, accurate, cfg, orientation=RIGHT, trace=None):
     works at shift h; otherwise w grows by m = min(h-k+1 - l, l) per pass.
     Truncating the divisor drops its max(0, k - 2(l+m) + 1) lowest
     coefficients, since a pass reaching l+m places only depends on the top
-    2(l+m) of them.
+    2(l+m) of them.  At full width over a non-commutative ring one guard pass
+    at shift h follows the loop; exactness never depends on it.
     """
-    try:
-        full_width, truncate = _REFINE_CONFIGS[cfg.refine]
-    except KeyError:
-        raise ValueError("unknown refine variant %r" % (cfg.refine,)) from None
+    full_width, truncate = _variant(variant)
     target = h - k + 1
     if full_width:
         w = shift(w, target - accurate)
@@ -141,24 +128,26 @@ def refine(v, h, k, w, accurate, cfg, orientation=RIGHT, trace=None):
         accurate = min(2 * accurate, target)
         if trace is not None:
             trace.record(accurate, w, grow, drop)
-    for _ in range(cfg.guard_steps_for(v.ring) if full_width else 0):
+    if full_width and not v.ring.is_commutative:
         w = step(h, v, w, 0, accurate, orientation)
         if trace is not None:
             trace.guard_steps += 1
     return w
 
 
-def shinv(v, h, cfg=None, orientation=RIGHT, trace=None):
+def shinv(v, h, variant=None, orientation=RIGHT, trace=None):
     """The whole h-shifted inverse x**h quo v (the same on both sides).
 
     Requires v nonzero with an invertible leading coefficient and h >= 0.
     Degenerate shapes (h < k, constant or monomial divisors, h = k) are
-    answered directly; everything else goes through the configured refinement.
+    answered directly; everything else goes through :func:`refine` with the
+    given variant (1, 2 or 3; None means 3).
     """
     if v.is_zero:
         raise ZeroDivisionError("shifted inverse of the zero polynomial")
     if h < 0:
         raise ValueError("shift amount must be non-negative")
+    _variant(variant)
     ring = v.ring
     k = v.degree
     ivk = ring.inv(v.lc)
@@ -166,13 +155,11 @@ def shinv(v, h, cfg=None, orientation=RIGHT, trace=None):
         return DensePoly.zero(ring)
     if k == 0 or h == k or v == DensePoly.monomial(ring, v.lc, k):
         return DensePoly.monomial(ring, ivk, h - k)
-    if cfg is None:
-        cfg = ShinvConfig()
     w, accurate = shinv0(v)
-    return refine(v, h, k, w, accurate, cfg, orientation, trace)
+    return refine(v, h, k, w, accurate, variant, orientation, trace)
 
 
-def quo(u, v, orientation=RIGHT, cfg=None, trace=None):
+def quo(u, v, orientation=RIGHT, variant=None, trace=None):
     """Quotient and remainder via the whole shifted inverse.
 
     With h = deg u, computes q = shift(u * shinv(v, h+1), -h-1) for RIGHT (and
@@ -181,12 +168,13 @@ def quo(u, v, orientation=RIGHT, cfg=None, trace=None):
     """
     if v.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
+    _variant(variant)
     ring = u.ring
     if u.is_zero:
         ring.inv(v.lc)
         return DensePoly.zero(ring), DensePoly.zero(ring)
     h = u.degree
-    iv = shinv(v, h + 1, cfg, orientation, trace)
+    iv = shinv(v, h + 1, variant, orientation, trace)
     q = shift(mul_oriented(u, iv, orientation), -h - 1)
     r = u - mul_oriented(q, v, orientation)
     return q, r

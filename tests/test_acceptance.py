@@ -17,7 +17,6 @@ from polyquo import (
     DensePoly,
     IterationTrace,
     MatrixRing,
-    ShinvConfig,
     classical_div,
     mul_oriented,
     pseudo_div,
@@ -97,7 +96,7 @@ def test_criterion_1_matrix_example_exact():
     cl_r, _ = classical_div(x13, v, RIGHT)
     assert sh == cl_l == cl_r
     for refine in (1, 2, 3):
-        assert shinv(v, 13, ShinvConfig(refine=refine)) == sh
+        assert shinv(v, 13, refine) == sh
 
     assert elapsed < 1.0
     print(
@@ -121,7 +120,7 @@ def test_criterion_2_iteration_traces():
     drops = {}
     for refine in (1, 2, 3):
         trace = IterationTrace()
-        shinv(v, 13, ShinvConfig(refine=refine), RIGHT, trace)
+        shinv(v, 13, refine, RIGHT, trace)
         assert trace.iterations == 3
         precs[refine] = [rec.prec for rec in trace.records]
         drops[refine] = [rec.divisor_drop for rec in trace.records]
@@ -133,7 +132,7 @@ def test_criterion_2_iteration_traces():
     big_precs = {}
     for refine in (1, 2, 3):
         trace = IterationTrace()
-        shinv(big_v, 101, ShinvConfig(refine=refine), RIGHT, trace)
+        shinv(big_v, 101, refine, RIGHT, trace)
         assert trace.iterations == 6
         big_precs[refine] = [rec.prec for rec in trace.records]
         if refine == 3:
@@ -202,9 +201,9 @@ def test_criterion_4_property_suite():
     for rng, ring in _property_trials(402):
         v = rand_poly(ring, rng, rng.randrange(1, 9), unit_lead=True)
         u = rand_poly(ring, rng, rng.randrange(0, 31))
-        cfg = ShinvConfig(refine=1 + n % 3)
+        variant = 1 + n % 3
         for o in (LEFT, RIGHT):
-            assert quo(u, v, o, cfg) == classical_div(u, v, o)
+            assert quo(u, v, o, variant) == classical_div(u, v, o)
         n += 1
     assert n >= 1000
 
@@ -219,7 +218,7 @@ def test_criterion_4_property_suite():
         qr, _ = classical_div(x_h, v, RIGHT)
         assert ql == qr
         o = LEFT if n % 2 else RIGHT
-        assert shinv(v, h, ShinvConfig(refine=1 + n % 3), o) == ql
+        assert shinv(v, h, 1 + n % 3, o) == ql
         n += 1
     assert n >= 1000
 
@@ -281,7 +280,7 @@ def test_criterion_5_iteration_bound():
         v = rand_poly(ring, rng, k, unit_lead=True)
         refine = 1 + n % 3
         trace = IterationTrace()
-        shinv(v, h, ShinvConfig(refine=refine), RIGHT, trace)
+        shinv(v, h, refine, RIGHT, trace)
         bound = math.ceil(math.log2(h - k)) if h - k > 1 else 1
         assert trace.iterations <= bound
         if refine != 1:

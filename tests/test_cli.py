@@ -231,7 +231,42 @@ class TestBench:
         assert code == 2
 
     def test_non_prime_ring_spec_exits_2(self, capsys):
-        for spec in ("gfp:4", "matrix:4:2", "gfp:2147483648"):
-            code, out = run_cli(capsys, "bench", "--degrees", "2", "--ring", spec)
-            assert code == 2
-            assert out == ""
+        for spec, reason in (
+            ("gfp:4", "prime"),
+            ("matrix:4:2", "prime"),
+            ("gfp:2147483648", "prime"),
+            ("matrix:127:0", "matrix dimension"),
+            ("matrix:127:-2", "matrix dimension"),
+        ):
+            assert_usage_error(capsys, reason, "bench", "--degrees", "2", "--ring", spec)
+
+
+def assert_usage_error(capsys, reason, *argv):
+    """The run exits 2, printing only one ``error:`` line that names the reason."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and reason in captured.err
+
+
+class TestBadNumbers:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        # each is rejected before a document is read or a ring is built
+        def refuse(*args):
+            raise AssertionError("work started before the arguments were checked")
+
+        import polyquo.cli as cli
+
+        for name in ("load_document", "build_ring", "parse_ring_spec"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def test_negative_shift_exits_2(self, capsys):
+        assert_usage_error(capsys, "--h", "shinv", MATRIX, "--h", "-1")
+
+    def test_non_integer_degrees_exit_2(self, capsys):
+        assert_usage_error(capsys, "--degrees", "bench", "--degrees", "abc")
+
+    def test_negative_degrees_exit_2(self, capsys):
+        assert_usage_error(capsys, "non-negative", "bench", "--degrees=-3")

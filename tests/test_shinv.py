@@ -11,7 +11,6 @@ from polyquo import (
     IterationTrace,
     MatrixRing,
     NotInvertible,
-    ShinvConfig,
     classical_div,
     mul_oriented,
     pow_diff,
@@ -120,7 +119,7 @@ class TestRefines:
             ref = reference_shinv(v, h)
             o = LEFT if trial % 2 else RIGHT
             results = [
-                shinv(v, h, ShinvConfig(refine=r), o) for r in (1, 2, 3)
+                shinv(v, h, r, o) for r in (1, 2, 3)
             ]
             assert results[0] == results[1] == results[2] == ref
 
@@ -133,7 +132,7 @@ class TestRefines:
                 v = rand_poly(ring, rng, k, unit_lead=True)
                 for refine in (1, 2, 3):
                     trace = IterationTrace()
-                    shinv(v, h, ShinvConfig(refine=refine), RIGHT, trace)
+                    shinv(v, h, refine, RIGHT, trace)
                     bound = math.ceil(math.log2(h - k)) if h - k > 1 else 1
                     assert trace.iterations <= max(bound, 0)
                     accs = [rec.accurate for rec in trace.records]
@@ -153,7 +152,7 @@ class TestRefines:
                 ref = reference_shinv(v, h)
                 for refine in (1, 2, 3):
                     trace = IterationTrace()
-                    shinv(v, h, ShinvConfig(refine=refine), RIGHT, trace)
+                    shinv(v, h, refine, RIGHT, trace)
                     for rec in trace.records:
                         got_top = rec.w.coeffs[-rec.accurate:]
                         want_top = ref.coeffs[-rec.accurate:]
@@ -174,14 +173,14 @@ class TestRefines:
                 h = k + rng.randrange(1, 14)
                 cases.append((rand_poly(ring, rng, k, unit_lead=True), h))
         baseline = [
-            shinv(v, h, ShinvConfig(refine=r), o)
+            shinv(v, h, r, o)
             for v, h in cases
             for r in (1, 2, 3)
             for o in (LEFT, RIGHT)
         ]
         monkeypatch.setattr(shinv_module, "pow_diff", full_pow_diff)
         patched = [
-            shinv(v, h, ShinvConfig(refine=r), o)
+            shinv(v, h, r, o)
             for v, h in cases
             for r in (1, 2, 3)
             for o in (LEFT, RIGHT)
@@ -189,17 +188,31 @@ class TestRefines:
         assert baseline == patched
 
     def test_config_defaults(self):
-        cfg = ShinvConfig()
-        assert cfg.refine == 3
+        # no variant runs exactly the refine-3 loop: same passes, widths,
+        # divisor drops and snapshots of w
+        rng = random.Random(100)
+        for ring in (GF(127), MatrixRing(2, GF(127))):
+            v = rand_poly(ring, rng, 10, unit_lead=True)
+            default, three = IterationTrace(), IterationTrace()
+            shinv(v, 101, None, RIGHT, default)
+            shinv(v, 101, 3, RIGHT, three)
+            assert default.records == three.records
+            assert default.guard_steps == three.guard_steps
+            assert any(rec.divisor_drop for rec in default.records)
 
     def test_unknown_refine_raises(self):
         rng = random.Random(42)
         v = rand_poly(GF(127), rng, 4, unit_lead=True)
         u = rand_poly(GF(127), rng, 11)
         with pytest.raises(ValueError):
-            shinv(v, 11, ShinvConfig(refine=4))
+            shinv(v, 11, 4)
         with pytest.raises(ValueError):
-            quo(u, v, RIGHT, ShinvConfig(refine=4))
+            quo(u, v, RIGHT, 4)
+        for variant in (0, "3", 1.5, [3]):
+            with pytest.raises(ValueError):  # also where no refinement runs
+                shinv(v, 2, variant)
+            with pytest.raises(ValueError):
+                quo(DensePoly.zero(u.ring), v, LEFT, variant)
 
     def test_guard_steps_default_and_trace(self):
         rng = random.Random(37)
@@ -207,13 +220,10 @@ class TestRefines:
         vf = rand_poly(F, rng, 4, unit_lead=True)
         vm = rand_poly(M, rng, 4, unit_lead=True)
         tf, tm = IterationTrace(), IterationTrace()
-        shinv(vf, 12, ShinvConfig(refine=1), RIGHT, tf)
-        shinv(vm, 12, ShinvConfig(refine=1), RIGHT, tm)
+        shinv(vf, 12, 1, RIGHT, tf)
+        shinv(vm, 12, 1, RIGHT, tm)
         assert tf.guard_steps == 0  # commutative default
         assert tm.guard_steps == 1  # non-commutative default
-        t0 = IterationTrace()
-        shinv(vm, 12, ShinvConfig(refine=1, extra_guard_steps=3), RIGHT, t0)
-        assert t0.guard_steps == 3
 
 
 class TestShinvDispatch:
@@ -283,7 +293,7 @@ class TestQuo:
         M = MatrixRing(2, GF(127))
         u = rand_poly(M, rng, 12)
         v = rand_poly(M, rng, 4, unit_lead=True)
-        results = {r: quo(u, v, RIGHT, ShinvConfig(refine=r)) for r in (1, 2, 3)}
+        results = {r: quo(u, v, RIGHT, r) for r in (1, 2, 3)}
         assert results[1] == results[2] == results[3]
 
     def test_zero_dividend(self):
