@@ -108,9 +108,18 @@ def cmd_divide(args):
     return 0 if ok else 1
 
 
+# Largest shinv --h and bench degree N.  Both set how many coefficients the
+# run builds (h - deg v + 1 for the shifted inverse, 3N + 2 for a bench
+# instance), so a number on the command line cannot make it allocate without
+# bound.
+MAX_DEGREE = 1 << 15
+
+
 def cmd_shinv(args):
-    if args.h < 0:
-        raise ParseError("--h must be a non-negative integer, got %d" % args.h)
+    if not 0 <= args.h <= MAX_DEGREE:
+        raise ParseError(
+            "--h must be a non-negative integer at most %d, got %d" % (MAX_DEGREE, args.h)
+        )
     doc = load_document(args.input)
     kind = doc.ring["kind"]
     if kind == "lodo":
@@ -212,9 +221,10 @@ def cmd_bench(args):
         sizes = [int(s) for s in args.degrees.split(",") if s]
     except ValueError:
         sizes = None
-    if sizes is None or any(n < 0 for n in sizes):
+    if sizes is None or any(not 0 <= n <= MAX_DEGREE for n in sizes):
         raise ParseError(
-            "--degrees must be comma-separated non-negative integers, got %r" % args.degrees
+            "--degrees must be comma-separated non-negative integers at most %d, got %r"
+            % (MAX_DEGREE, args.degrees)
         )
     ring = parse_ring_spec(args.ring)
     rows = run_bench(ring, sizes, seed=args.seed, repeat=args.repeat)

@@ -31,6 +31,12 @@ from .skew import SkewPoly, make_lodo
 
 KINDS = ("gfp", "matrix", "polyring", "lodo")
 
+# Largest matrix dimension a ring descriptor may ask for.  A MatrixRing builds
+# n x n zero and identity elements up front, and each coefficient product
+# costs n**3 base multiplications, so this bounds what one small document or
+# bench --ring spec can make the program allocate and compute.
+MAX_MATRIX_DIM = 16
+
 
 @dataclass
 class PolyDocument:
@@ -51,7 +57,10 @@ def check_ring(desc):
     _require(is_prime_modulus(p), "ring modulus must be a prime below 2**31")
     if kind == "matrix":
         n = desc.get("n")
-        _require(isinstance(n, int) and n >= 1, "matrix dimension must be a positive integer")
+        _require(
+            isinstance(n, int) and 1 <= n <= MAX_MATRIX_DIM,
+            "matrix dimension must be a positive integer at most %d" % MAX_MATRIX_DIM,
+        )
     if kind in ("polyring", "lodo"):
         _require(
             isinstance(desc.get("coeff_var", "y"), str),

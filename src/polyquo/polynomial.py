@@ -97,15 +97,14 @@ class CoeffPoly:
 
     def __add__(self, other):
         self._same_ring(other)
-        return self._like(_add_coeffs(self.ring, self.coeffs, other.coeffs))
+        return self._like(self.ring.seq_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._same_ring(other)
-        return self._like(_sub_coeffs(self.ring, self.coeffs, other.coeffs))
+        return self._like(self.ring.seq_sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        neg = self.ring.neg
-        return self._like(tuple(neg(c) for c in self.coeffs), normalized=True)
+        return self._like(self.ring.seq_neg(self.coeffs), normalized=True)
 
 
 class DensePoly(CoeffPoly):
@@ -159,76 +158,31 @@ class DensePoly(CoeffPoly):
         return DensePoly(self.ring, _mul_coeffs(self.ring, self.coeffs, other.coeffs))
 
 
-def _mul_schoolbook(ring, a, b, n=None):
-    """Schoolbook product of coefficient sequences, kept below x**n when n is given."""
-    size = len(a) + len(b) - 1
-    if n is not None and n < size:
-        size = n
-    out = [ring.zero] * size
-    add = ring.add
-    mul = ring.mul
-    zero = ring.zero
-    for i, ai in enumerate(a):
-        if ai == zero:
-            continue
-        for j, bj in enumerate(b[: size - i], i):
-            out[j] = add(out[j], mul(ai, bj))
-    return out
-
-
-def _add_into(ring, out, part, offset):
-    add = ring.add
-    for i, c in enumerate(part):
-        out[offset + i] = add(out[offset + i], c)
-
-
-def _sub_coeffs(ring, a, b):
-    sub = ring.sub
-    zero = ring.zero
-    n = max(len(a), len(b))
-    return [
-        sub(a[i] if i < len(a) else zero, b[i] if i < len(b) else zero)
-        for i in range(n)
-    ]
-
-
-def _add_coeffs(ring, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    add = ring.add
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = add(out[i], c)
-    return out
-
-
 def _mul_coeffs(ring, a, b):
     """Order-preserving product of coefficient sequences (may have junk trailing zeros)."""
     if not a or not b:
-        return ()
+        return []
     if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
-        return _mul_schoolbook(ring, a, b)
+        return ring.seq_mul(a, b)
     # Karatsuba split at half of the longer operand.  Left factors always come
-    # from a and right factors from b, so no commutation is assumed.
+    # from a and right factors from b, so no commutation is assumed.  a0 and
+    # b0 are never empty; a1 or b1 is when the shorter operand fits in m.
     m = max(len(a), len(b)) // 2
     a0, a1 = a[:m], a[m:]
     b0, b1 = b[:m], b[m:]
-    low = _mul_coeffs(ring, a0, b0) if a0 and b0 else ()
-    high = _mul_coeffs(ring, a1, b1) if a1 and b1 else ()
-    asum = _add_coeffs(ring, a0, a1)
-    bsum = _add_coeffs(ring, b0, b1)
-    mid = _mul_coeffs(ring, asum, bsum) if asum and bsum else ()
-    if low:
-        mid = _sub_coeffs(ring, mid, low)
+    low = _mul_coeffs(ring, a0, b0)
+    high = _mul_coeffs(ring, a1, b1)
+    mid = _mul_coeffs(ring, ring.seq_add(a0, a1), ring.seq_add(b0, b1))
+    mid = ring.seq_sub(mid, low)
     if high:
-        mid = _sub_coeffs(ring, mid, high)
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    if low:
-        _add_into(ring, out, low, 0)
-    if mid:
-        _add_into(ring, out, mid, m)
-    if high:
-        _add_into(ring, out, high, 2 * m)
+        mid = ring.seq_sub(mid, high)
+    # low fills x**0 .. x**(2m-2) and high starts at x**(2m), so only the
+    # middle part overlaps the others
+    zero = ring.zero
+    out = low + [zero] * (2 * m - len(low)) + high
+    out += [zero] * (len(a) + len(b) - 1 - len(out))
+    end = m + len(mid)
+    out[m:end] = ring.seq_add(out[m:end], mid)
     return out
 
 
@@ -265,7 +219,7 @@ def mul_mod(u, v, n, orientation=RIGHT):
     aa = a.coeffs[:n]
     bb = b.coeffs[:n]
     if min(len(aa), len(bb)) <= KARATSUBA_THRESHOLD:
-        return DensePoly(ring, _mul_schoolbook(ring, aa, bb, n))
+        return DensePoly(ring, ring.seq_mul(aa, bb, n))
     return DensePoly(ring, _mul_coeffs(ring, aa, bb)[:n])
 
 

@@ -8,7 +8,21 @@ base-field multiplications for the benchmark harness.
 Ring objects themselves are cheap and stateless apart from the multiplication
 counter.  For concurrent benchmark runs, give each worker its own ring
 instance and merge the counts afterwards.
+
+Besides element operations, a ring supplies the coefficient-sequence kernels
+that polynomial arithmetic is built from: ``seq_mul`` (a schoolbook product,
+optionally kept below x**n; the leaves of Karatsuba), ``seq_add``, ``seq_sub``
+and ``seq_neg``.  The :class:`Ring` defaults are element-wise loops over
+``mul``/``add``/``sub``/``neg`` and are the counted reference.  :class:`GF`
+overrides them with bulk integer arithmetic: its leaf product packs each
+operand into one Python int (Kronecker substitution), multiplies once and
+unpacks, then tallies exactly the base multiplications the element-wise leaf
+would have made, so ``mul_count`` means the same on every path.
 """
+
+import sys
+from array import array
+from itertools import zip_longest
 
 from .errors import DimensionMismatch, NotInvertible
 
@@ -18,7 +32,10 @@ class Ring:
 
     Concrete rings provide ``zero``, ``one``, ``add``, ``sub``, ``neg``,
     ``mul``, a partial ``inv``, and an ``is_commutative`` flag.  ``mul_count``
-    is a monotone count of base-field multiplications performed so far.
+    is a monotone count of base-field multiplications performed so far.  The
+    ``seq_*`` kernels work on whole coefficient sequences and return lists; a
+    ring may override them with faster code that gives the same lists and
+    advances ``mul_count`` by the same amount.
     """
 
     is_commutative = True
@@ -53,6 +70,46 @@ class Ring:
     @property
     def mul_count(self):
         raise NotImplementedError
+
+    # -- coefficient-sequence kernels; results may carry trailing zeros --
+
+    def seq_mul(self, a, b, n=None):
+        """Schoolbook product of coefficient sequences, kept below x**n when n is given.
+
+        Left factors come from a, right factors from b.  One ``mul`` is made
+        per pair of a nonzero a[i] and a b[j] with i + j below the kept size.
+        """
+        size = len(a) + len(b) - 1
+        if n is not None and n < size:
+            size = max(n, 0)
+        out = [self.zero] * size
+        add = self.add
+        mul = self.mul
+        zero = self.zero
+        for i, ai in enumerate(a[:size]):
+            if ai == zero:
+                continue
+            for j, bj in enumerate(b[: size - i], i):
+                out[j] = add(out[j], mul(ai, bj))
+        return out
+
+    def seq_add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.add
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
+        return out
+
+    def seq_sub(self, a, b):
+        sub = self.sub
+        zero = self.zero
+        return [sub(x, y) for x, y in zip_longest(a, b, fillvalue=zero)]
+
+    def seq_neg(self, a):
+        neg = self.neg
+        return [neg(c) for c in a]
 
 
 def is_prime_modulus(p):
@@ -129,12 +186,78 @@ class GF(Ring):
         return rng.randrange(self.p)
 
     def tally(self, n):
-        """Record n base-field multiplications done in bulk by a wrapper ring."""
+        """Record n base-field multiplications done in bulk."""
         self._mul_count += n
 
     @property
     def mul_count(self):
         return self._mul_count
+
+    def seq_mul(self, a, b, n=None):
+        """The schoolbook leaf product, computed in bulk; see :meth:`Ring.seq_mul`.
+
+        Operands with more than ``_ELEMENTWISE_PAIRS`` coefficient pairs are
+        packed into one int each, with a byte-aligned slot per coefficient
+        wide enough for (p-1)**2 * min(len a, len b), so that no slot of the
+        product overflows into the next.  The count tallied is the one the
+        element-wise leaf makes.  Smaller operands take the element-wise leaf.
+        """
+        size = len(a) + len(b) - 1
+        if n is not None and n < size:
+            size = max(n, 0)
+        la, lb = min(len(a), size), min(len(b), size)
+        if la * lb <= _ELEMENTWISE_PAIRS:
+            return Ring.seq_mul(self, a, b, n)
+        a, b = a[:size], b[:size]
+        p = self.p
+        if size == la + lb - 1 and 0 not in a:
+            self.tally(la * lb)
+        else:
+            self.tally(sum(min(lb, size - i) for i, c in enumerate(a) if c))
+        w = _slot_width((p - 1) ** 2 * min(la, lb))
+        product = _unpack_int(_pack_int(a, w) * _pack_int(b, w), w, la + lb - 1)
+        return [c % p for c in product[:size]]
+
+    def seq_add(self, a, b):
+        p = self.p
+        return [(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+
+    def seq_sub(self, a, b):
+        p = self.p
+        return [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+
+    def seq_neg(self, a):
+        p = self.p
+        return [-x % p for x in a]
+
+
+# GF.seq_mul multiplies element-wise when len(a) * len(b) is at most this;
+# below it, packing costs more than the products it replaces.
+_ELEMENTWISE_PAIRS = 16
+
+# slot width in bytes -> array type code, ascending, for the widths arrays hold
+_SLOT_CODES = dict(sorted((array(code).itemsize, code) for code in "BHIQ"))
+
+
+def _slot_width(bound):
+    """Bytes per slot for values up to ``bound``: 1, 2, 4 or 8 when one suffices."""
+    width = (bound.bit_length() + 7) // 8
+    return next((w for w in _SLOT_CODES if width <= w), width)
+
+
+def _pack_int(coeffs, w):
+    """The int holding coeffs[i] in its i-th w-byte slot."""
+    if w in _SLOT_CODES:
+        return int.from_bytes(array(_SLOT_CODES[w], coeffs).tobytes(), sys.byteorder)
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
+
+
+def _unpack_int(x, w, count):
+    """The first ``count`` w-byte slots of an int packed by :func:`_pack_int`."""
+    if w in _SLOT_CODES:
+        return memoryview(x.to_bytes(count * w, sys.byteorder)).cast(_SLOT_CODES[w]).tolist()
+    data = x.to_bytes(count * w, "little")
+    return [int.from_bytes(data[i : i + w], "little") for i in range(0, count * w, w)]
 
 
 class MatrixRing(Ring):

@@ -150,12 +150,12 @@ def shinv(v, h, variant=None, orientation=RIGHT, trace=None):
     _variant(variant)
     ring = v.ring
     k = v.degree
-    ivk = ring.inv(v.lc)
     if h < k:
+        ring.inv(v.lc)  # raises NotInvertible here too, as on every other shape
         return DensePoly.zero(ring)
     if k == 0 or h == k or v == DensePoly.monomial(ring, v.lc, k):
-        return DensePoly.monomial(ring, ivk, h - k)
-    w, accurate = shinv0(v)
+        return DensePoly.monomial(ring, ring.inv(v.lc), h - k)
+    w, accurate = shinv0(v)  # inverts lc(v)
     return refine(v, h, k, w, accurate, variant, orientation, trace)
 
 

@@ -12,11 +12,21 @@ from polyquo import (
     DensePoly,
     MatrixRing,
     NotInvertible,
+    Ring,
 )
 
 
 def standard_rings():
     return [GF(7), GF(127), MatrixRing(2, GF(127)), MatrixRing(3, GF(127))]
+
+
+class ElementwiseGF(GF):
+    """GF(p) running the element-wise Ring kernels, the counted reference for GF's own."""
+
+    seq_mul = Ring.seq_mul
+    seq_add = Ring.seq_add
+    seq_sub = Ring.seq_sub
+    seq_neg = Ring.seq_neg
 
 
 def rand_unit(ring, rng):

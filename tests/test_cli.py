@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from polyquo import GF, DensePoly
-from polyquo.cli import main, parse_ring_spec, run_bench
-from polyquo.documents import emit_document, parse_document, PolyDocument
+from polyquo.cli import MAX_DEGREE, main, parse_ring_spec, run_bench
+from polyquo.documents import MAX_MATRIX_DIM, check_ring, emit_document, parse_document, PolyDocument
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "polyquo" / "fixtures"
 MATRIX = str(FIXTURES / "matrix127.json")
@@ -191,7 +191,31 @@ class TestShinvCommand:
         assert code == 3
 
 
+# run_bench(GF(127), [64, 128, 256]) at seed 0: (method, N) -> (iterations, mulCount).
+# mulCount counts one base multiplication per coefficient pair of the
+# element-wise schoolbook leaf, whatever kernel computes the product.
+PINNED_GF127_COUNTS = {
+    ("classical", 64): (0, 4224),
+    ("refine1", 64): (6, 39372),
+    ("refine2", 64): (6, 18355),
+    ("refine3", 64): (6, 17175),
+    ("classical", 128): (0, 16640),
+    ("refine1", 128): (7, 139221),
+    ("refine2", 128): (7, 57336),
+    ("refine3", 128): (7, 52299),
+    ("classical", 256): (0, 65532),
+    ("refine1", 256): (8, 480551),
+    ("refine2", 256): (8, 176914),
+    ("refine3", 256): (8, 158084),
+}
+
+
 class TestBench:
+    def test_operation_counts_are_pinned(self):
+        rows = run_bench(GF(127), [64, 128, 256])
+        got = {(method, n): (iterations, mul_count) for method, n, iterations, mul_count, _ in rows}
+        assert got == PINNED_GF127_COUNTS
+
     def test_csv_shape_and_determinism(self, capsys):
         code, out1 = run_cli(capsys, "bench", "--degrees", "4,8", "--seed", "5")
         assert code == 0
@@ -270,3 +294,43 @@ class TestBadNumbers:
 
     def test_negative_degrees_exit_2(self, capsys):
         assert_usage_error(capsys, "non-negative", "bench", "--degrees=-3")
+
+    def test_shift_above_bound_exits_2(self, capsys):
+        assert_usage_error(capsys, "at most %d" % MAX_DEGREE, "shinv", MATRIX, "--h",
+                           str(MAX_DEGREE + 1))
+
+    def test_degree_above_bound_exits_2(self, capsys):
+        assert_usage_error(capsys, "at most %d" % MAX_DEGREE, "bench", "--degrees",
+                           "4,%d" % (MAX_DEGREE + 1))
+
+
+class TestMatrixDimensionBound:
+    @pytest.fixture(autouse=True)
+    def no_ring(self, monkeypatch):
+        # the dimension is rejected before any ring is built
+        def refuse(*args):
+            raise AssertionError("a ring was built before the dimension was checked")
+
+        import polyquo.cli as cli
+        import polyquo.documents as documents
+
+        monkeypatch.setattr(cli, "build_ring", refuse)
+        monkeypatch.setattr(documents, "MatrixRing", refuse)
+
+    def test_bench_ring_spec_above_bound_exits_2(self, capsys):
+        spec = "matrix:127:%d" % (MAX_MATRIX_DIM + 1)
+        assert_usage_error(capsys, "at most %d" % MAX_MATRIX_DIM, "bench", "--degrees", "2",
+                           "--ring", spec)
+
+    def test_document_above_bound_exits_2(self, capsys, tmp_path):
+        n = MAX_MATRIX_DIM + 1
+        zero = [[0] * n for _ in range(n)]
+        doc = {"ring": {"kind": "matrix", "p": 127, "n": n}, "polys": {"u": [zero], "v": [zero]}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert_usage_error(capsys, "at most %d" % MAX_MATRIX_DIM, "divide", str(path))
+        assert_usage_error(capsys, "at most %d" % MAX_MATRIX_DIM, "shinv", str(path), "--h", "3")
+
+    def test_bound_itself_is_accepted(self):
+        desc = {"kind": "matrix", "p": 127, "n": MAX_MATRIX_DIM}
+        assert check_ring(desc) is desc

@@ -266,6 +266,34 @@ class TestShinvDispatch:
         with pytest.raises(NotInvertible):
             shinv(v, 5)
 
+    def test_singular_lead_raises_for_every_shape(self):
+        M = MatrixRing(2, GF(127))
+        singular = M.from_rows([[1, 2], [2, 4]])
+        rest = M.from_rows([[3, 1], [4, 1]])
+        for k in (0, 1, 2, 5):
+            general = DensePoly(M, [rest] * k + [singular])
+            monomial = DensePoly.monomial(M, singular, k)
+            # h < k, h = k, and h > k (the refinement path unless v is k = 0 or a monomial)
+            for h in (max(k - 1, 0), k, k + 1, 3 * k + 4):
+                for v in (general, monomial):
+                    for variant in (1, 2, 3):
+                        with pytest.raises(NotInvertible):
+                            shinv(v, h, variant)
+                    with pytest.raises(NotInvertible):
+                        quo(DensePoly.monomial(M, M.one, h), v)
+
+    def test_refinement_inverts_the_leading_coefficient_once(self):
+        M = MatrixRing(2, GF(127))
+        v = rand_poly(M, random.Random(4), 6, unit_lead=True)
+        inv = M.inv
+        calls = []
+        M.inv = lambda a: calls.append(a) or inv(a)
+        expected = reference_shinv(v, 20)
+        calls.clear()
+        for variant in (1, 2, 3):
+            assert shinv(v, 20, variant) == expected
+        assert calls == [v.lc] * 3
+
 
 class TestQuo:
     def test_self_division_monic(self):
