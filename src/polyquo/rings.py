@@ -11,13 +11,18 @@ instance and merge the counts afterwards.
 
 Besides element operations, a ring supplies the coefficient-sequence kernels
 that polynomial arithmetic is built from: ``seq_mul`` (a schoolbook product,
-optionally kept below x**n; the leaves of Karatsuba), ``seq_add``, ``seq_sub``
-and ``seq_neg``.  The :class:`Ring` defaults are element-wise loops over
+optionally kept below x**n; the leaves of Karatsuba), ``seq_add``, ``seq_sub``,
+``seq_neg`` and ``seq_lincomb`` (a sum of rows, each scaled on the left; the
+skew product).  The :class:`Ring` defaults are element-wise loops over
 ``mul``/``add``/``sub``/``neg`` and are the counted reference.  :class:`GF`
 overrides them with bulk integer arithmetic: its leaf product packs each
 operand into one Python int (Kronecker substitution), multiplies once and
 unpacks, then tallies exactly the base multiplications the element-wise leaf
 would have made, so ``mul_count`` means the same on every path.
+:class:`PolyRing` does the same in two variables for ``seq_lincomb``: each
+row becomes one int with a block of slots per entry, and the scaled rows are
+summed as ints and unpacked once.  Its ``seq_add`` and ``seq_sub`` are
+list-wise.
 """
 
 import sys
@@ -110,6 +115,20 @@ class Ring:
     def seq_neg(self, a):
         neg = self.neg
         return [neg(c) for c in a]
+
+    def seq_lincomb(self, scalars, rows):
+        """The sum of scalars[i] * rows[i], each scalar multiplying its row's entries from the left.
+
+        Rows with a zero scalar are skipped; every other entry costs one ``mul``.
+        The result is as long as the longest row kept.
+        """
+        out = []
+        mul = self.mul
+        zero = self.zero
+        for c, row in zip(scalars, rows):
+            if c != zero:
+                out = self.seq_add(out, [mul(c, y) for y in row])
+        return out
 
 
 def is_prime_modulus(p):
@@ -461,6 +480,46 @@ class PolyRing(Ring):
                 out[i + j] += ai * bj
         self.base.tally(len(a) * len(b))
         return self._trim([c % p for c in out])
+
+    def seq_add(self, a, b):
+        p = self.base.p
+        trim = self._trim
+        return [trim([(s + t) % p for s, t in zip_longest(x, y, fillvalue=0)])
+                for x, y in zip_longest(a, b, fillvalue=())]
+
+    def seq_sub(self, a, b):
+        p = self.base.p
+        trim = self._trim
+        return [trim([(s - t) % p for s, t in zip_longest(x, y, fillvalue=0)])
+                for x, y in zip_longest(a, b, fillvalue=())]
+
+    def seq_lincomb(self, scalars, rows):
+        """:meth:`Ring.seq_lincomb` as one packed integer sum, tallying the element-wise count.
+
+        With A the longest scalar and B the longest row entry, entry j of a row
+        fills block j of L = A + B - 1 slots, so that a scalar times the packed
+        row keeps each entry's product inside its block.  Slots are wide enough
+        for (p-1)**2 * min(A, B) per nonzero scalar, so the sum of all the
+        products overflows no slot either.
+        """
+        kept = [(c, row) for c, row in zip(scalars, rows) if c]
+        if not kept:
+            return []
+        p = self.base.p
+        a_len = max(len(c) for c, _ in kept)
+        b_len = max([1] + [len(y) for _, row in kept for y in row])
+        L = a_len + b_len - 1
+        w = _slot_width((p - 1) ** 2 * min(a_len, b_len) * len(kept))
+        pads = [(0,) * (L - k) for k in range(L + 1)]
+        total = muls = 0
+        for c, row in kept:
+            total += _pack_int(c, w) * _pack_int([x for y in row for x in y + pads[len(y)]], w)
+            muls += len(c) * sum(map(len, row))
+        self.base.tally(muls)
+        n = max(len(row) for _, row in kept)
+        flat = [x % p for x in _unpack_int(total, w, n * L)]
+        trim = self._trim
+        return [trim(flat[j : j + L]) for j in range(0, n * L, L)]
 
     def inv(self, a):
         if len(a) != 1:

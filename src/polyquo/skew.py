@@ -159,30 +159,24 @@ def _var_times(ctx, coeffs):
     ring = ctx.ring
     shifted = [ring.zero] + [ctx._sigma(c) for c in coeffs]
     derived = [ctx._delta(c) for c in coeffs] + [ring.zero]
-    return [ring.add(s, d) for s, d in zip(shifted, derived)]
+    return ring.seq_add(shifted, derived)
 
 
 def skew_mul(a, b):
     """Product of skew polynomials, multiplying b by each monomial of a.
 
-    x**i * b is built incrementally by i applications of the commutation
-    rule, then scaled on the left by a's coefficient.
+    The rows x**i * b are built incrementally by the commutation rule, then
+    the ring sums them scaled on the left by a's coefficients in one
+    ``seq_lincomb``.
     """
     a._same_ring(b)
     ctx = a.ctx
-    ring = ctx.ring
     if a.is_zero or b.is_zero:
         return ctx.zero()
-    out = [ring.zero] * (a.degree + b.degree + 1)
-    cur = list(b.coeffs)  # x**i * b for the current i
-    for i, ai in enumerate(a.coeffs):
-        if i > 0:
-            cur = _var_times(ctx, cur)
-        if ai == ring.zero:
-            continue
-        for j, cj in enumerate(cur):
-            out[j] = ring.add(out[j], ring.mul(ai, cj))
-    return SkewPoly(ctx, out)
+    rows = [b.coeffs]
+    for _ in range(a.degree):
+        rows.append(_var_times(ctx, rows[-1]))
+    return SkewPoly(ctx, ctx.ring.seq_lincomb(a.coeffs, rows))
 
 
 def skew_pow(a, n):

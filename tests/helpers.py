@@ -12,7 +12,10 @@ from polyquo import (
     DensePoly,
     MatrixRing,
     NotInvertible,
+    OrePair,
+    PolyRing,
     Ring,
+    SkewPolyRing,
 )
 
 
@@ -27,6 +30,20 @@ class ElementwiseGF(GF):
     seq_add = Ring.seq_add
     seq_sub = Ring.seq_sub
     seq_neg = Ring.seq_neg
+
+
+class ElementwisePolyRing(PolyRing):
+    """GF(p)[y] running the element-wise Ring kernels, the counted reference for PolyRing's own."""
+
+    seq_lincomb = Ring.seq_lincomb
+    seq_add = Ring.seq_add
+    seq_sub = Ring.seq_sub
+
+
+def elementwise_lodo(p):
+    """make_lodo(p) over ElementwisePolyRing: the same operators, multiplied element-wise."""
+    ring = ElementwisePolyRing(GF(p))
+    return SkewPolyRing(ring, OrePair(None, ring.diff), "D")
 
 
 def rand_unit(ring, rng):

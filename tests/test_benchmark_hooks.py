@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` replaces module attributes and ``DensePoly`` methods
 while a traced division runs, so renaming any of them breaks the benchmark
-without failing any other test.  A traced ``quo`` must also account for every
-base multiplication: its phases add up to the ring's total, which equals the
-count of the same division untraced and with the element-wise kernels.
+without failing any other test.  A traced ``quo`` or ``rquo_via_lshinv`` must
+also account for every base multiplication: its phases add up to the ring's
+total, which equals the count of the same division untraced and with the
+element-wise kernels.
 """
 
 import importlib.util
@@ -13,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from polyquo import GF, LEFT, RIGHT, DensePoly, MatrixRing, quo, shinv
+from polyquo import GF, LEFT, RIGHT, DensePoly, MatrixRing, make_lodo, quo, rquo_via_lshinv, shinv
 
-from helpers import ElementwiseGF, rand_poly
+from helpers import ElementwiseGF, elementwise_lodo, rand_poly
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -79,3 +80,32 @@ def test_traced_quo_reconciles(ring):
         twin = elementwise_twin(ring)
         quo(DensePoly(twin, u.coeffs), DensePoly(twin, v.coeffs), side)
         assert twin.mul_count == untraced_muls
+
+
+def test_traced_rquo_reconciles():
+    # The skew phases are the direct skew_mul children of lshinv and
+    # rquo_via_lshinv, so every product must go through skew.skew_mul by its
+    # global name; a product made any other way shows up in rquo_other_muls.
+    tracer_module = load_tracer()
+    ctx = make_lodo(127)
+    ring = ctx.ring
+    rng = random.Random(12)
+    v = ctx.poly([ring.random_element(rng, 3) for _ in range(12)] + [ring.one])
+    u = ctx.poly([ring.random_element(rng, 3) for _ in range(24)] + [(5, 1)])
+    tracer = tracer_module.Tracer()
+    with tracer.division(0, "skew.rquo_via_lshinv", rings=(ring,), args=(u, v)):
+        traced = rquo_via_lshinv(u, v)
+    assert tracer.unrestored() == []
+    before = ring.mul_count
+    assert rquo_via_lshinv(u, v) == traced
+    untraced_muls = ring.mul_count - before
+    m = tracer_module.layer_metrics(tracer.spans)
+    assert tracer_module.reconcile(m, tracer_module.SKEW_PHASES) == 0
+    assert m["rings.base_muls"] == untraced_muls > 0
+    assert m["skew.lshinv_updates"] > 0
+    assert m["skew.quotient_product_muls"] > 0
+    assert m["skew.remainder_product_muls"] > 0
+    assert m["skew.rquo_other_muls"] == 0
+    twin = elementwise_lodo(127)
+    rquo_via_lshinv(twin.poly(u.coeffs), twin.poly(v.coeffs))
+    assert twin.ring.mul_count == untraced_muls

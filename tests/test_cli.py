@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,19 @@ class TestDivide:
     def test_lodo_left_fast_is_algebraic_error(self, capsys):
         code, _ = run_cli(capsys, "divide", LODO, "--side", "left", "--method", "fast")
         assert code == 3
+
+    @pytest.mark.parametrize("method", ["classical", "fast"])
+    def test_python_m_polyquo_divides_lodo(self, method):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(FIXTURES.parent.parent), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyquo", "divide", LODO, "--method", method],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["result"]["residual_ok"] is True
+        assert data["polys"]["q"] == expected_poly(LODO_EXPECTED, "q_r")
 
     def test_singular_leading_matrix_exits_3(self, capsys, tmp_path):
         doc = {

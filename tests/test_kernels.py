@@ -1,18 +1,31 @@
-"""GF(p)'s bulk coefficient-sequence kernels against the element-wise defaults.
+"""The bulk coefficient-sequence kernels against the element-wise defaults.
 
-``Ring.seq_mul``/``seq_add``/``seq_sub``/``seq_neg`` are the counted reference:
-one ``mul`` per coefficient pair of the schoolbook leaf.  ``GF`` overrides them
-with packed-integer and list-wise arithmetic; its results must be identical,
-list for list, and its ``mul_count`` must grow by exactly as much.
+``Ring.seq_mul``/``seq_add``/``seq_sub``/``seq_neg``/``seq_lincomb`` are the
+counted reference: one ``mul`` per coefficient pair of the schoolbook leaf,
+and per entry of a row with a nonzero scalar.  ``GF`` and ``PolyRing``
+override them with packed-integer and list-wise arithmetic; their results
+must be identical, list for list, and their ``mul_count`` must grow by
+exactly as much.
 """
 
 import random
 
 import pytest
 
-from polyquo import GF, LEFT, RIGHT, DensePoly, IterationTrace, mul_mod, mul_oriented, quo, shinv
+from polyquo import (
+    GF,
+    LEFT,
+    RIGHT,
+    DensePoly,
+    IterationTrace,
+    PolyRing,
+    mul_mod,
+    mul_oriented,
+    quo,
+    shinv,
+)
 
-from helpers import ElementwiseGF
+from helpers import ElementwiseGF, ElementwisePolyRing
 
 # GF(2^31 - 1) needs slots wider than a machine word once min(len a, len b) > 4
 PRIMES = (2, 3, 127, 2**31 - 1)
@@ -136,3 +149,66 @@ def test_quotients_and_traces_match_elementwise(p):
                                for x in trace.records]
                     results.append((q.coeffs, rem.coeffs, w.coeffs, records, r.mul_count - before))
                 assert results[0] == results[1], (dv, du, variant, side)
+
+
+def poly_entry(ring, rng, max_len):
+    """A GF(p)[y] element of length 0..max_len; operand() makes a quarter of them zero."""
+    return ring.from_coeffs(operand(rng, ring.base.p, rng.randrange(max_len + 1)))
+
+
+def poly_row(ring, rng, length, max_len):
+    return [poly_entry(ring, rng, max_len) for _ in range(length)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+class TestPolyRingAgainstElementwise:
+    """PolyRing's packed linear combination and list-wise add/sub against Ring's loops.
+
+    Over GF(2**31 - 1) every slot is wider than 8 bytes once two scalars are
+    nonzero, so both packing paths are covered.
+    """
+
+    @staticmethod
+    def rings(p):
+        return PolyRing(GF(p)), ElementwisePolyRing(GF(p))
+
+    def test_random_linear_combinations(self, p):
+        rng = random.Random(p + 7)
+        ring, ref = self.rings(p)
+        for count in range(8):
+            for _ in range(20):
+                scalars = [poly_entry(ring, rng, 6) for _ in range(count)]
+                rows = [poly_row(ring, rng, rng.randrange(10), 9) for _ in range(count)]
+                assert_same_kernel(ring, ref, "seq_lincomb", scalars, rows)
+
+    def test_degenerate_linear_combinations(self, p):
+        rng = random.Random(p + 8)
+        ring, ref = self.rings(p)
+        c = ring.from_coeffs([1, 2, 3])
+        full = poly_row(ring, rng, 5, 4)
+        cases = (
+            ([], []),
+            ([c], []),
+            ([c], [[]]),
+            ([c], [full]),
+            ([()], [full]),
+            ([(), (), ()], [full, full, full]),
+            ([c, c], [[(), (), ()], [()]]),
+            ([c, (), c], [[(), ()], full, [(), (), (), ()]]),
+            ([c, (1,)], [[(), (5,), ()], full[:2]]),
+        )
+        # every coefficient p - 1: for some length, one product fits a slot
+        # width that the sum of eight would overflow
+        cases += tuple(([(p - 1,) * m] * 8, [[(p - 1,) * m] * 3] * 8) for m in (1, 4, 40))
+        for scalars, rows in cases:
+            assert_same_kernel(ring, ref, "seq_lincomb", scalars, rows)
+
+    def test_add_sub(self, p):
+        rng = random.Random(p + 9)
+        ring, ref = self.rings(p)
+        for la in range(12):
+            for lb in range(12):
+                a, b = poly_row(ring, rng, la, 6), poly_row(ring, rng, lb, 6)
+                assert_same_kernel(ring, ref, "seq_add", a, b)
+                assert_same_kernel(ring, ref, "seq_sub", a, b)
+                assert_same_kernel(ring, ref, "seq_sub", a, a)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polyquo import (
+    GF,
     LEFT,
     RIGHT,
     NegativeLeftShift,
@@ -21,6 +22,8 @@ from polyquo import (
     skew_mul,
     skew_pow,
 )
+
+from helpers import ElementwisePolyRing, elementwise_lodo
 
 LODO = make_lodo(127)
 R = LODO.ring  # GF(127)[y]
@@ -356,6 +359,22 @@ class TestRquoViaLshinv:
             assert got_q == want_q
             assert got_r == want_r
 
+    def test_operation_counts_are_pinned(self):
+        # lodo-rquo's shapes; the counts were recorded with element-wise
+        # PolyRing products and must equal those of the element-wise twin
+        twin = elementwise_lodo(127)
+        rng = random.Random(24)
+        for pinned in (1589835, 1589633, 1589723):
+            v = rand_op(rng, 12, monic=True)
+            u = rand_op(rng, 24)
+            before, twin_before = R.mul_count, twin.ring.mul_count
+            q, r = rquo_via_lshinv(u, v)
+            assert R.mul_count - before == pinned
+            assert (q, r) == skew_classical_div(u, v, RIGHT)
+            tq, tr = rquo_via_lshinv(twin.poly(u.coeffs), twin.poly(v.coeffs))
+            assert twin.ring.mul_count - twin_before == pinned
+            assert (tq.coeffs, tr.coeffs) == (q.coeffs, r.coeffs)
+
     def test_requires_monic(self):
         rng = random.Random(70)
         u = rand_op(rng, 4)
@@ -395,3 +414,18 @@ class TestNonIdentitySigma:
             skew_classical_div(ctx.one(), ctx.one(), RIGHT)
         with pytest.raises(UnsupportedSigma):
             lshinv(ctx.x(), 3)
+
+    def test_twisted_products_match_elementwise(self):
+        sigma = self._scaling_endomorphism(3)
+        twin_ring = ElementwisePolyRing(GF(127))
+        ctx = SkewPolyRing(R, OrePair(sigma=sigma, delta=R.diff), "S")
+        twin = SkewPolyRing(twin_ring, OrePair(sigma=sigma, delta=twin_ring.diff), "S")
+        rng = random.Random(71)
+        for _ in range(40):
+            a = ctx.poly(rand_op(rng, rng.randrange(9)).coeffs)
+            b = ctx.poly(rand_op(rng, rng.randrange(9), max_cdeg=rng.randrange(6)).coeffs)
+            before, twin_before = R.mul_count, twin_ring.mul_count
+            got = skew_mul(a, b)
+            want = skew_mul(twin.poly(a.coeffs), twin.poly(b.coeffs))
+            assert got.coeffs == want.coeffs
+            assert R.mul_count - before == twin_ring.mul_count - twin_before
