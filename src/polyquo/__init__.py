@@ -7,6 +7,7 @@ operators (skew polynomials with identity twist).
 """
 
 from .errors import (
+    AlgebraicError,
     DimensionMismatch,
     NegativeLeftShift,
     NoConvergence,
@@ -57,6 +58,7 @@ from .skew import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AlgebraicError",
     "DimensionMismatch",
     "NegativeLeftShift",
     "NoConvergence",

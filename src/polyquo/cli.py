@@ -1,9 +1,10 @@
 """Command-line front end: divide, shifted inverse, and operation-count benchmarks.
 
 Exit codes: 0 success (division results additionally require a passing
-residual check), 2 parse or usage errors, 3 algebraic failures (singular
-leading coefficient, non-central leading coefficient, non-monic divisor,
-unsupported twist), 1 a result that failed its own residual verification.
+residual check), 2 parse or usage errors, 3 algebraic failures (an
+``AlgebraicError`` such as a singular or non-central leading coefficient, a
+non-monic divisor or an unsupported twist, or a zero divisor), 1 a result
+that failed its own residual verification.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import sys
 import time
 
 from .documents import (
+    MAX_DEGREE,
     PolyDocument,
     build_ring,
     check_ring,
@@ -19,34 +21,10 @@ from .documents import (
     poly_payload,
     to_poly,
 )
-from .errors import (
-    NegativeLeftShift,
-    NoConvergence,
-    NotCentral,
-    NotInvertible,
-    NotMonic,
-    ParseError,
-    UnsupportedSigma,
-)
+from .errors import AlgebraicError, ParseError, UnsupportedOperation
 from .polynomial import RIGHT, DensePoly, Orientation, classical_div, mul_oriented, pseudo_div
 from .shinv import IterationTrace, quo, shinv
 from .skew import rquo_via_lshinv, skew_classical_div
-
-
-class UnsupportedOperation(ValueError):
-    pass
-
-
-ALGEBRAIC_ERRORS = (
-    UnsupportedOperation,
-    NotInvertible,
-    NotCentral,
-    NotMonic,
-    UnsupportedSigma,
-    NegativeLeftShift,
-    NoConvergence,
-    ZeroDivisionError,
-)
 
 
 def _residual_ok(u, v, q, r, side, method):
@@ -108,13 +86,6 @@ def cmd_divide(args):
     return 0 if ok else 1
 
 
-# Largest shinv --h and bench degree N.  Both set how many coefficients the
-# run builds (h - deg v + 1 for the shifted inverse, 3N + 2 for a bench
-# instance), so a number on the command line cannot make it allocate without
-# bound.
-MAX_DEGREE = 1 << 15
-
-
 def cmd_shinv(args):
     if not 0 <= args.h <= MAX_DEGREE:
         raise ParseError(
@@ -135,13 +106,7 @@ def cmd_shinv(args):
     if args.trace:
         extra["trace"] = {
             "records": [
-                {
-                    "accurate": rec.accurate,
-                    "prec": rec.prec,
-                    "grow": rec.grow,
-                    "divisor_drop": rec.divisor_drop,
-                }
-                for rec in trace.records
+                {k: x for k, x in vars(rec).items() if k != "w"} for rec in trace.records
             ],
             "guard_steps": trace.guard_steps,
         }
@@ -170,14 +135,7 @@ def parse_ring_spec(spec):
 def random_poly(ring, rng, degree):
     """Random polynomial of exact degree with an invertible leading coefficient."""
     coeffs = [ring.random_element(rng) for _ in range(degree)]
-    while True:
-        lead = ring.random_element(rng)
-        try:
-            ring.inv(lead)
-        except NotInvertible:
-            continue
-        break
-    return DensePoly(ring, coeffs + [lead])
+    return DensePoly(ring, coeffs + [ring.random_invertible(rng)])
 
 
 BENCH_METHODS = ("classical", "refine1", "refine2", "refine3")
@@ -285,7 +243,7 @@ def main(argv=None):
     except (ParseError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ALGEBRAIC_ERRORS as exc:
+    except (AlgebraicError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -37,6 +37,12 @@ KINDS = ("gfp", "matrix", "polyring", "lodo")
 # bench --ring spec can make the program allocate and compute.
 MAX_MATRIX_DIM = 16
 
+# Largest degree in a document polynomial, in a polyring/lodo coefficient, and
+# of shinv --h and bench N.  Each sets how many coefficients a run builds
+# (h - deg v + 1 for the shifted inverse, 3N + 2 for a bench instance), so no
+# input can make the program allocate without bound.
+MAX_DEGREE = 1 << 15
+
 
 @dataclass
 class PolyDocument:
@@ -58,15 +64,17 @@ def check_ring(desc):
     if kind == "matrix":
         n = desc.get("n")
         _require(
-            isinstance(n, int) and 1 <= n <= MAX_MATRIX_DIM,
+            isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_MATRIX_DIM,
             "matrix dimension must be a positive integer at most %d" % MAX_MATRIX_DIM,
         )
-    if kind in ("polyring", "lodo"):
-        _require(
-            isinstance(desc.get("coeff_var", "y"), str),
-            "coeff_var must be a string",
-        )
+    for key in ("var", "coeff_var"):
+        _require(isinstance(desc.get(key, ""), str), "%s must be a string" % key)
     return desc
+
+
+def _check_list(x, what):
+    _require(isinstance(x, list), "%s must be a list" % what)
+    _require(len(x) <= MAX_DEGREE + 1, "%s must have at most %d entries" % (what, MAX_DEGREE + 1))
 
 
 def _check_entry(x, p):
@@ -94,7 +102,7 @@ def _check_coeff(kind, c, desc):
                 _check_entry(x, p)
         return c
     # polyring / lodo: little-endian int list
-    _require(isinstance(c, list), "polynomial coefficient must be a list of integers")
+    _check_list(c, "a polynomial coefficient")
     for x in c:
         _check_entry(x, p)
     return c
@@ -111,7 +119,7 @@ def parse_document(text):
     polys = data.get("polys")
     _require(isinstance(polys, dict), "document needs a 'polys' object")
     for name, coeffs in polys.items():
-        _require(isinstance(coeffs, list), "polynomial %r must be a coefficient list" % name)
+        _check_list(coeffs, "polynomial %r" % name)
         for c in coeffs:
             _check_coeff(desc["kind"], c, desc)
     return PolyDocument(ring=dict(desc), polys={k: list(v) for k, v in polys.items()})

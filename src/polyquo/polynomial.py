@@ -13,6 +13,7 @@ coefficient product instead of duplicating code.
 import enum
 
 from .errors import NotCentral
+from .rings import trim
 
 # Products with both operands above this many coefficients switch from
 # schoolbook to Karatsuba.  Karatsuba remains valid over non-commutative
@@ -53,13 +54,7 @@ class CoeffPoly:
 
     def __init__(self, owner, coeffs, normalized=False):
         object.__setattr__(self, self._owner, owner)
-        coeffs = tuple(coeffs)
-        if not normalized:
-            end = len(coeffs)
-            zero = self.ring.zero
-            while end > 0 and coeffs[end - 1] == zero:
-                end -= 1
-            coeffs = coeffs[:end]
+        coeffs = tuple(coeffs) if normalized else trim(coeffs, self.ring.zero)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):

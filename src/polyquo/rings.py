@@ -32,6 +32,15 @@ from itertools import zip_longest
 from .errors import DimensionMismatch, NotInvertible
 
 
+def trim(seq, zero=0):
+    """seq as a tuple without its trailing zeros."""
+    seq = tuple(seq)
+    end = len(seq)
+    while end and seq[end - 1] == zero:
+        end -= 1
+    return seq[:end]
+
+
 class Ring:
     """Contract for an exact coefficient ring.
 
@@ -71,6 +80,16 @@ class Ring:
 
     def random_element(self, rng):
         raise NotImplementedError
+
+    def random_invertible(self, rng):
+        """Draw random elements until one has an inverse, and return it."""
+        while True:
+            a = self.random_element(rng)
+            try:
+                self.inv(a)
+            except NotInvertible:
+                continue
+            return a
 
     @property
     def mul_count(self):
@@ -403,15 +422,6 @@ class MatrixRing(Ring):
             tuple(be(rng) for _ in range(self.n)) for _ in range(self.n)
         )
 
-    def random_invertible(self, rng):
-        while True:
-            a = self.random_element(rng)
-            try:
-                self.inv(a)
-            except NotInvertible:
-                continue
-            return a
-
     @property
     def mul_count(self):
         return self.base.mul_count
@@ -449,24 +459,11 @@ class PolyRing(Ring):
     def __hash__(self):
         return hash(("PolyRing", self.base, self.var))
 
-    def _trim(self, coeffs):
-        end = len(coeffs)
-        while end > 0 and coeffs[end - 1] == 0:
-            end -= 1
-        return tuple(coeffs[:end])
-
     def add(self, a, b):
-        p = self.base.p
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return self._trim(out)
+        return trim(self.base.seq_add(a, b))
 
     def neg(self, a):
-        p = self.base.p
-        return tuple(-c % p for c in a)
+        return tuple(self.base.seq_neg(a))
 
     def mul(self, a, b):
         if not a or not b:
@@ -479,17 +476,15 @@ class PolyRing(Ring):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
         self.base.tally(len(a) * len(b))
-        return self._trim([c % p for c in out])
+        return trim([c % p for c in out])
 
     def seq_add(self, a, b):
         p = self.base.p
-        trim = self._trim
         return [trim([(s + t) % p for s, t in zip_longest(x, y, fillvalue=0)])
                 for x, y in zip_longest(a, b, fillvalue=())]
 
     def seq_sub(self, a, b):
         p = self.base.p
-        trim = self._trim
         return [trim([(s - t) % p for s, t in zip_longest(x, y, fillvalue=0)])
                 for x, y in zip_longest(a, b, fillvalue=())]
 
@@ -518,7 +513,6 @@ class PolyRing(Ring):
         self.base.tally(muls)
         n = max(len(row) for _, row in kept)
         flat = [x % p for x in _unpack_int(total, w, n * L)]
-        trim = self._trim
         return [trim(flat[j : j + L]) for j in range(0, n * L, L)]
 
     def inv(self, a):
@@ -529,18 +523,18 @@ class PolyRing(Ring):
     def diff(self, a):
         """Formal derivative with respect to the polynomial variable."""
         p = self.base.p
-        return self._trim([(i * c) % p for i, c in enumerate(a)][1:])
+        return trim([(i * c) % p for i, c in enumerate(a)][1:])
 
     def from_int(self, n):
-        return self._trim((n % self.base.p,))
+        return trim((n % self.base.p,))
 
     def from_coeffs(self, coeffs):
         """Build an element from a little-endian list of integers mod p."""
         p = self.base.p
-        return self._trim([c % p for c in coeffs])
+        return trim([c % p for c in coeffs])
 
     def random_element(self, rng, max_degree=4):
-        return self._trim([rng.randrange(self.base.p) for _ in range(max_degree + 1)])
+        return trim([rng.randrange(self.base.p) for _ in range(max_degree + 1)])
 
     @property
     def mul_count(self):

@@ -111,12 +111,6 @@ class SkewPolyRing:
     def poly(self, coeffs):
         return SkewPoly(self, coeffs)
 
-    def _sigma(self, c):
-        return c if self.ore.sigma is None else self.ore.sigma(c)
-
-    def _delta(self, c):
-        return self.ring.zero if self.ore.delta is None else self.ore.delta(c)
-
 
 class SkewPoly(CoeffPoly):
     """An immutable skew polynomial sum(c_i x**i) with coefficients on the left."""
@@ -154,29 +148,26 @@ class SkewPoly(CoeffPoly):
         return skew_pow(self, n)
 
 
-def _var_times(ctx, coeffs):
-    """Coefficients of x * sum(c_i x**i): sigma lifts each term, delta keeps it."""
-    ring = ctx.ring
-    shifted = [ring.zero] + [ctx._sigma(c) for c in coeffs]
-    derived = [ctx._delta(c) for c in coeffs] + [ring.zero]
-    return ring.seq_add(shifted, derived)
-
-
 def skew_mul(a, b):
     """Product of skew polynomials, multiplying b by each monomial of a.
 
-    The rows x**i * b are built incrementally by the commutation rule, then
-    the ring sums them scaled on the left by a's coefficients in one
-    ``seq_lincomb``.
+    The rows x**i * b are built incrementally by the commutation rule: in
+    x * sum(c_j x**j), sigma lifts each term one place and delta keeps it in
+    place.  The ring then sums the rows scaled on the left by a's
+    coefficients in one ``seq_lincomb``.
     """
     a._same_ring(b)
     ctx = a.ctx
     if a.is_zero or b.is_zero:
         return ctx.zero()
+    ring = ctx.ring
+    sigma, delta = ctx.ore.sigma, ctx.ore.delta
     rows = [b.coeffs]
     for _ in range(a.degree):
-        rows.append(_var_times(ctx, rows[-1]))
-    return SkewPoly(ctx, ctx.ring.seq_lincomb(a.coeffs, rows))
+        row = rows[-1]
+        lifted = [ring.zero, *(row if sigma is None else map(sigma, row))]
+        rows.append(lifted if delta is None else ring.seq_add(lifted, list(map(delta, row))))
+    return SkewPoly(ctx, ring.seq_lincomb(a.coeffs, rows))
 
 
 def skew_pow(a, n):
@@ -205,11 +196,12 @@ def apply_operator(op, p):
     ring = ctx.ring
     if op.is_zero:
         return ring.zero
+    delta = ctx.ore.delta
     cur = p
     result = ring.mul(op.coeffs[0], cur)
-    for i in range(1, len(op.coeffs)):
-        cur = ctx._delta(cur)
-        result = ring.add(result, ring.mul(op.coeffs[i], cur))
+    for c in op.coeffs[1:]:
+        cur = ring.zero if delta is None else delta(cur)
+        result = ring.add(result, ring.mul(c, cur))
     return result
 
 

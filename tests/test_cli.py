@@ -7,8 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from polyquo import GF, DensePoly
+from polyquo import GF, DensePoly, MatrixRing
 from polyquo.cli import MAX_DEGREE, main, parse_ring_spec, run_bench
+from polyquo.errors import (
+    AlgebraicError,
+    DimensionMismatch,
+    NegativeLeftShift,
+    NoConvergence,
+    NotCentral,
+    NotInvertible,
+    NotMonic,
+    ParseError,
+    UnsupportedOperation,
+    UnsupportedSigma,
+)
 from polyquo.documents import MAX_MATRIX_DIM, check_ring, emit_document, parse_document, PolyDocument
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "polyquo" / "fixtures"
@@ -206,6 +218,42 @@ class TestShinvCommand:
         code, _ = run_cli(capsys, "shinv", LODO, "--h", "13")
         assert code == 3
 
+    def test_trace_records_hold_the_pass_fields_without_w(self, capsys):
+        code, out = run_cli(capsys, "shinv", MATRIX, "--h", "13", "--trace")
+        assert code == 0
+        records = json.loads(out)["trace"]["records"]
+        assert records
+        assert all(set(r) == {"accurate", "prec", "grow", "divisor_drop"} for r in records)
+
+
+class TestAlgebraicErrors:
+    @pytest.mark.parametrize("cls, base", [
+        (NotInvertible, ZeroDivisionError),
+        (NotCentral, ValueError),
+        (NotMonic, ValueError),
+        (UnsupportedSigma, ValueError),
+        (NegativeLeftShift, ValueError),
+        (UnsupportedOperation, ValueError),
+        (NoConvergence, RuntimeError),
+    ], ids=lambda c: c.__name__)
+    def test_keeps_its_builtin_base(self, cls, base):
+        exc = cls("message")
+        assert isinstance(exc, AlgebraicError)
+        assert isinstance(exc, base)
+
+    def test_parse_and_dimension_errors_are_not_algebraic(self):
+        assert not issubclass(ParseError, AlgebraicError)
+        assert not issubclass(DimensionMismatch, AlgebraicError)
+
+    def test_main_maps_algebraic_error_to_exit_3(self, capsys, monkeypatch):
+        def refuse(self, a):
+            raise AlgebraicError("no inverse today")
+
+        monkeypatch.setattr(MatrixRing, "inv", refuse)
+        code = main(["divide", MATRIX])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", "error: no inverse today\n")
+
 
 # run_bench(GF(127), [64, 128, 256]) at seed 0: (method, N) -> (iterations, mulCount).
 # mulCount counts one base multiplication per coefficient pair of the
@@ -350,3 +398,55 @@ class TestMatrixDimensionBound:
     def test_bound_itself_is_accepted(self):
         desc = {"kind": "matrix", "p": 127, "n": MAX_MATRIX_DIM}
         assert check_ring(desc) is desc
+
+
+def write_doc(tmp_path, ring, polys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"ring": ring, "polys": polys}))
+    return str(path)
+
+
+class TestRingHeaderChecks:
+    def test_bool_matrix_dimension_exits_2(self, capsys, tmp_path):
+        path = write_doc(tmp_path, {"kind": "matrix", "p": 7, "n": True},
+                         {"u": [[[1]]], "v": [[[1]]]})
+        assert_usage_error(capsys, "matrix dimension", "divide", path)
+
+    @pytest.mark.parametrize("kind, coeff", [("gfp", 1), ("matrix", [[1]]), ("polyring", [1]),
+                                             ("lodo", [1])])
+    def test_non_string_var_exits_2(self, capsys, tmp_path, kind, coeff):
+        ring = {"kind": kind, "p": 7, "n": 1, "var": [1]}
+        path = write_doc(tmp_path, ring, {"u": [coeff], "v": [coeff]})
+        assert_usage_error(capsys, "var must be a string", "divide", path)
+
+
+class TestDocumentLengthBound:
+    @pytest.fixture(autouse=True)
+    def no_ring(self, monkeypatch):
+        # the lengths are checked while the document is read, before any ring is built
+        def refuse(*args):
+            raise AssertionError("a ring was built before the lengths were checked")
+
+        import polyquo.cli as cli
+
+        monkeypatch.setattr(cli, "build_ring", refuse)
+
+    def test_long_polynomial_exits_2(self, capsys, tmp_path):
+        path = write_doc(tmp_path, {"kind": "gfp", "p": 7}, {"u": [1] * (MAX_DEGREE + 2), "v": [1]})
+        reason = "polynomial 'u' must have at most %d" % (MAX_DEGREE + 1)
+        assert_usage_error(capsys, reason, "divide", path)
+        assert_usage_error(capsys, reason, "shinv", path, "--h", "3")
+
+    @pytest.mark.parametrize("kind", ["polyring", "lodo"])
+    def test_long_coefficient_exits_2(self, capsys, tmp_path, kind):
+        long_coeff = [1] * (MAX_DEGREE + 2)
+        path = write_doc(tmp_path, {"kind": kind, "p": 7}, {"u": [[1]], "v": [long_coeff, [1]]})
+        reason = "coefficient must have at most %d" % (MAX_DEGREE + 1)
+        assert_usage_error(capsys, reason, "divide", path)
+        assert_usage_error(capsys, reason, "shinv", path, "--h", "3")
+
+    def test_bound_itself_is_accepted(self):
+        at_bound = [1] * (MAX_DEGREE + 1)
+        for kind, polys in (("gfp", {"v": at_bound}), ("lodo", {"v": [at_bound]})):
+            doc = parse_document(json.dumps({"ring": {"kind": kind, "p": 7}, "polys": polys}))
+            assert doc.polys == polys

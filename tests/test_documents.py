@@ -78,6 +78,16 @@ class TestValidation:
                 parse_document(text)
         parse_document(json.dumps({"ring": {"kind": "gfp", "p": 2**31 - 1}, "polys": {}}))
 
+    def test_rejects_bool_dimension_and_non_string_names(self):
+        for ring in (
+            {"kind": "matrix", "p": 7, "n": True},
+            {"kind": "gfp", "p": 7, "var": [1]},
+            {"kind": "lodo", "p": 7, "var": 3},
+            {"kind": "polyring", "p": 7, "coeff_var": None},
+        ):
+            with pytest.raises(ParseError):
+                parse_document(json.dumps({"ring": ring, "polys": {}}))
+
     def test_rejects_ragged_matrix(self):
         text = json.dumps(
             {

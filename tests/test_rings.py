@@ -3,6 +3,7 @@ import random
 import pytest
 
 from polyquo import GF, DimensionMismatch, MatrixRing, NotInvertible, PolyRing
+from polyquo.rings import trim
 
 from helpers import egcd_inverse, standard_rings
 
@@ -188,6 +189,16 @@ class TestPolyRing:
         before = R.mul_count
         R.mul(R.from_coeffs([1, 2, 3]), R.from_coeffs([4, 5]))
         assert R.mul_count == before + 6
+
+
+def test_trim_drops_only_trailing_zeros():
+    assert trim([3, 0, 1, 0, 0]) == (3, 0, 1)
+    assert trim((0, 2, 0)) == (0, 2)
+    assert trim((0, 2)) == (0, 2)
+    assert trim([0, 0, 0]) == trim(()) == ()
+    M = MatrixRing(2, GF(7))
+    assert trim([M.zero, M.one, M.zero, M.zero], M.zero) == (M.zero, M.one)
+    assert trim([M.zero], M.zero) == ()
 
 
 def test_standard_rings_report_expected_commutativity():

@@ -395,7 +395,7 @@ class TestNonIdentitySigma:
             for coeff in f:
                 out.append(coeff * scale % 127)
                 scale = scale * factor % 127
-            return R._trim(out)
+            return R.from_coeffs(out)
 
         return sigma
 
@@ -406,6 +406,9 @@ class TestNonIdentitySigma:
         r = R.from_coeffs([5, 1])  # y + 5
         got = skew_mul(x, ctx.poly([r]))
         assert got == ctx.poly([R.zero, sigma(r)])  # x r = sigma(r) x
+        ctx = SkewPolyRing(R, OrePair(sigma=sigma, delta=R.diff), "S")
+        got = skew_mul(ctx.x(), ctx.poly([r]))
+        assert got == ctx.poly([R.diff(r), sigma(r)])  # x r = sigma(r) x + r'
 
     def test_division_rejected(self):
         sigma = self._scaling_endomorphism(3)
@@ -416,16 +419,18 @@ class TestNonIdentitySigma:
             lshinv(ctx.x(), 3)
 
     def test_twisted_products_match_elementwise(self):
-        sigma = self._scaling_endomorphism(3)
+        # sigma and delta together, sigma only, delta only
+        scale = self._scaling_endomorphism(3)
         twin_ring = ElementwisePolyRing(GF(127))
-        ctx = SkewPolyRing(R, OrePair(sigma=sigma, delta=R.diff), "S")
-        twin = SkewPolyRing(twin_ring, OrePair(sigma=sigma, delta=twin_ring.diff), "S")
-        rng = random.Random(71)
-        for _ in range(40):
-            a = ctx.poly(rand_op(rng, rng.randrange(9)).coeffs)
-            b = ctx.poly(rand_op(rng, rng.randrange(9), max_cdeg=rng.randrange(6)).coeffs)
-            before, twin_before = R.mul_count, twin_ring.mul_count
-            got = skew_mul(a, b)
-            want = skew_mul(twin.poly(a.coeffs), twin.poly(b.coeffs))
-            assert got.coeffs == want.coeffs
-            assert R.mul_count - before == twin_ring.mul_count - twin_before
+        for sigma, derive in ((scale, True), (scale, False), (None, True)):
+            ctx = SkewPolyRing(R, OrePair(sigma, R.diff if derive else None), "S")
+            twin = SkewPolyRing(twin_ring, OrePair(sigma, twin_ring.diff if derive else None), "S")
+            rng = random.Random(71)
+            for _ in range(40):
+                a = ctx.poly(rand_op(rng, rng.randrange(9)).coeffs)
+                b = ctx.poly(rand_op(rng, rng.randrange(9), max_cdeg=rng.randrange(6)).coeffs)
+                before, twin_before = R.mul_count, twin_ring.mul_count
+                got = skew_mul(a, b)
+                want = skew_mul(twin.poly(a.coeffs), twin.poly(b.coeffs))
+                assert got.coeffs == want.coeffs
+                assert R.mul_count - before == twin_ring.mul_count - twin_before
