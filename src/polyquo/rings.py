@@ -536,6 +536,14 @@ class PolyRing(Ring):
     def random_element(self, rng, max_degree=4):
         return trim([rng.randrange(self.base.p) for _ in range(max_degree + 1)])
 
+    def random_invertible(self, rng):
+        """A random nonzero constant, drawn at once.
+
+        Drawing random elements until one is a unit, as :class:`Ring` does,
+        takes about p**4 draws here.
+        """
+        return (rng.randrange(1, self.base.p),)
+
     @property
     def mul_count(self):
         return self.base.mul_count

@@ -16,11 +16,24 @@ from the (left) shifted inverse:
 where ``shift`` is the right whole shift sum(c_i x**(i+n)), a pure index
 shift shared with dense polynomials.
 
-The left shifted inverse is found by the same Newton-Schulz shaped update as
-for central variables, but it may gain as little as one correct coefficient
-per pass, so the loop runs on a residual-degree test with a linear cap
-instead of a doubling count.
+The paper finds the left shifted inverse by the same Newton-Schulz shaped
+update as for central variables, w <- w + shift(w * rho, -h) with
+rho = x**h - v*w, but here it may gain as little as one correct coefficient
+per pass.  By default ``lshinv`` takes the exact Newton step instead, in the
+ring of pseudo-differential operators: x**-h is moved past rho's
+coefficients by the Leibniz rule, which over GF(p)[y] leaves finitely many
+terms, so w * x**-h * rho = (w * R) * x**-(h+K) for an ordinary operator R.
+That roughly doubles the correct coefficients per pass, and the loop is
+capped at ceil(log2(h-k+1)) + 2 passes; the paper's update stays selectable
+with ``variant="paper"`` and keeps its linear cap.  Both stop on the
+residual-degree test.
+
+Every product in the route but the remainder's is kept only from some
+degree on, so ``skew_mul`` takes ``lo`` and computes only the coefficients
+at degree >= lo.
 """
+
+from math import comb
 
 from .errors import (
     NegativeLeftShift,
@@ -148,26 +161,40 @@ class SkewPoly(CoeffPoly):
         return skew_pow(self, n)
 
 
-def skew_mul(a, b):
+def skew_mul(a, b, lo=0):
     """Product of skew polynomials, multiplying b by each monomial of a.
 
     The rows x**i * b are built incrementally by the commutation rule: in
     x * sum(c_j x**j), sigma lifts each term one place and delta keeps it in
     place.  The ring then sums the rows scaled on the left by a's
     coefficients in one ``seq_lincomb``.
+
+    Only the coefficients at degree >= ``lo`` are computed; those below are
+    zero in the result.  Entry m of row i+1 reads only entries m-1 and m of
+    row i, so row i is built only from position lo - (deg a - i), and only
+    its entries from lo on reach ``seq_lincomb``, which tallies what it
+    multiplies.
     """
     a._same_ring(b)
     ctx = a.ctx
-    if a.is_zero or b.is_zero:
+    n = a.degree
+    lo = max(lo, 0)
+    if a.is_zero or b.is_zero or lo > n + b.degree:
         return ctx.zero()
     ring = ctx.ring
     sigma, delta = ctx.ore.sigma, ctx.ore.delta
-    rows = [b.coeffs]
-    for _ in range(a.degree):
-        row = rows[-1]
-        lifted = [ring.zero, *(row if sigma is None else map(sigma, row))]
-        rows.append(lifted if delta is None else ring.seq_add(lifted, list(map(delta, row))))
-    return SkewPoly(ctx, ring.seq_lincomb(a.coeffs, rows))
+    start = max(lo - n, 0)
+    row = list(b.coeffs[start:])
+    rows = [row[lo - start :]]
+    for i in range(1, n + 1):
+        drop = 1 if lo - n + i > 0 else 0  # row i starts one place further on
+        lifted = [ring.zero] * (1 - drop)
+        lifted.extend(row if sigma is None else map(sigma, row))
+        if delta is not None:
+            lifted = ring.seq_add(lifted, list(map(delta, row[drop:])))
+        row = lifted
+        rows.append(row[n - i if drop else lo :])
+    return SkewPoly(ctx, [ring.zero] * lo + ring.seq_lincomb(a.coeffs, rows))
 
 
 def skew_pow(a, n):
@@ -249,15 +276,28 @@ def skew_classical_div(u, v, orientation=RIGHT):
     return SkewPoly(ctx, qco), rem
 
 
-def lshinv(v, h, trace=None):
+def lshinv(v, h, trace=None, variant=None):
     """Left whole h-shifted inverse x**h lquo v for monic differential v.
 
-    Iterates w <- w + shift(w * (x**h - v*w), -h) until the residual
-    x**h - v*w drops below deg v, which certifies w exactly.  Each pass may
-    add only one correct coefficient, so up to h-k+1 updates are allowed
-    before NoConvergence is raised.  ``trace``, if given, collects the
-    residual degree seen before each update.
+    Both variants start from the two top coefficients of the answer and pass
+    until the residual rho = x**h - v*w drops below deg v = k, which
+    certifies w exactly.  Only rho's terms from x**k on are computed, and
+    each pass makes two products: v*w, then the update.
+
+    ``variant=None`` takes Newton steps in the ring of pseudo-differential
+    operators, w <- w + polypart(w * x**-h * rho), and roughly doubles the
+    number of correct coefficients per pass; up to ceil(log2(h-k+1)) + 2
+    updates are allowed before NoConvergence is raised.  ``variant="paper"``
+    is the paper's w <- w + shift(w * rho, -h), which may add only one correct
+    coefficient per pass, so it is allowed h-k+1 updates.  With a zero
+    derivation the two updates coincide.  A derivation other than zero or the
+    coefficient ring's ``diff`` need not be nilpotent, so x**-h cannot be
+    moved past a coefficient in finitely many terms, and it takes the paper's
+    update.  ``trace``, if given, collects the residual degree seen before
+    each update.
     """
+    if variant not in (None, "paper"):
+        raise ValueError("unknown lshinv variant %r" % (variant,))
     ctx = v.ctx
     if not ctx.ore.is_differential:
         raise UnsupportedSigma("the shifted-inverse iteration needs an identity sigma")
@@ -271,21 +311,55 @@ def lshinv(v, h, trace=None):
         return ctx.zero()
     if h == k:
         return ctx.one()
+    delta = ctx.ore.delta
+    if delta is not None and _map_key(delta) != _map_key(getattr(ring, "diff", None)):
+        variant = "paper"
     xh = ctx.monomial(ring.one, h)
     w = ctx.monomial(ring.one, h - k) - ctx.monomial(v.coeff(k - 1), h - k - 1)
+    cap = h - k + 1 if variant == "paper" else (h - k).bit_length() + 2
     updates = 0
     while True:
-        rho = xh - skew_mul(v, w)
+        rho = xh - skew_mul(v, w, k)
         if rho.is_zero or rho.degree < k:
             return w
-        if updates >= h - k + 1:
+        if updates >= cap:
             raise NoConvergence(
                 "left shifted inverse did not converge within %d updates" % updates
             )
         if trace is not None:
             trace.append(rho.degree)
-        w = w + shift(skew_mul(w, rho), -h)
+        if variant == "paper" or delta is None:
+            w = w + shift(skew_mul(w, rho, h), -h)
+        else:
+            K = max(map(len, rho.coeffs)) - 1
+            lo = h + K
+            w = w + shift(skew_mul(w, _negative_power_times(rho, h, K, lo - w.degree), lo), -lo)
         updates += 1
+
+
+def _negative_power_times(rho, h, K, lo):
+    """R with x**-h * rho = R * x**-(h+K), over GF(p)[y], kept from x**lo on.
+
+    By the Leibniz rule for negative powers, x**-h * c = sum over kappa of
+    C(-h, kappa) c^(kappa) x**(-h-kappa); the sum stops at the y-degree of c,
+    so K, the largest y-degree in rho, makes every power of R non-negative.
+    The entries are integer multiples of derivatives: like ``diff``, they make
+    no counted multiplication.
+    """
+    ctx = rho.ctx
+    ring = ctx.ring
+    p = ring.base.p
+    binom = [(-1) ** kappa * comb(h + kappa - 1, kappa) % p for kappa in range(K + 1)]
+    acc = [ring.zero] * (len(rho.coeffs) + K)
+    for j in range(max(lo - K, 0), len(rho.coeffs)):
+        d = rho.coeffs[j]
+        for kappa in range(min(K, j + K - lo) + 1):
+            if not d:
+                break
+            b = binom[kappa]
+            acc[j + K - kappa] = ring.add(acc[j + K - kappa], [(b * x) % p for x in d])
+            d = ring.diff(d)
+    return SkewPoly(ctx, acc)
 
 
 def rshinv(v, h):
@@ -295,22 +369,23 @@ def rshinv(v, h):
     return q
 
 
-def rquo_via_lshinv(u, v):
+def rquo_via_lshinv(u, v, variant=None):
     """Right quotient and remainder from the left shifted inverse.
 
-    With h = deg u:  q = shift(u * lshinv(v, h), -h),  r = u - q*v.
-    Requires monic differential v.
+    With h = deg u:  q = shift(u * lshinv(v, h, variant=variant), -h),
+    r = u - q*v, where u * lshinv is computed only from x**h on.  Requires
+    monic differential v.
     """
     u._same_ring(v)
     ctx = u.ctx
     if v.is_zero:
         raise ZeroDivisionError("skew division by zero")
     if u.is_zero:
-        lshinv(v, 0)  # surface sigma/monic violations uniformly
+        lshinv(v, 0, variant=variant)  # surface sigma/monic violations uniformly
         return ctx.zero(), ctx.zero()
     h = u.degree
-    iv = lshinv(v, h)
-    q = shift(skew_mul(u, iv), -h)
+    iv = lshinv(v, h, variant=variant)
+    q = shift(skew_mul(u, iv, h), -h)
     r = u - skew_mul(q, v)
     return q, r
 

@@ -184,6 +184,23 @@ class TestPolyRing:
         assert R.diff(R.from_coeffs([0, 0, 0, 1])) == R.from_coeffs([0, 0, 3])
         assert R.diff(R.from_coeffs([5])) == ()
 
+    def test_random_invertible_is_a_unit_drawn_at_once(self):
+        # a random element is a unit about once in p**4 draws, so the
+        # inherited draw-until-invertible loop would run for minutes here
+        class CountingRandom(random.Random):
+            draws = 0
+
+            def randrange(self, *args):
+                CountingRandom.draws += 1
+                return super().randrange(*args)
+
+        R = PolyRing(GF(127), "y")
+        rng = CountingRandom(9)
+        for n in range(1, 51):
+            a = R.random_invertible(rng)
+            assert len(a) == 1 and R.mul(a, R.inv(a)) == R.one
+            assert CountingRandom.draws == n
+
     def test_mul_count_counts_base_multiplications(self):
         R = PolyRing(GF(127), "y")
         before = R.mul_count

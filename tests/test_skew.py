@@ -5,8 +5,10 @@ import pytest
 from polyquo import (
     GF,
     LEFT,
+    MatrixRing,
     RIGHT,
     NegativeLeftShift,
+    NoConvergence,
     NotMonic,
     OrePair,
     SkewPolyRing,
@@ -292,17 +294,95 @@ class TestLshinv:
 
     def test_convergence_is_linear_not_logarithmic(self):
         # frozen worst case from a 4000-instance search: deg 2, h = 12 takes
-        # 9 updates, the maximum possible given the 2-accurate start, and far
-        # above ceil(log2(h - k)) = 4
+        # the paper's update 9 passes, the maximum possible given the
+        # 2-accurate start, and far above ceil(log2(h - k)) = 4
         v = op((42, 43, 109, 6, 20), (17, 43, 71, 42, 89), (1,))
         trace = []
-        w = lshinv(v, 12, trace)
+        w = lshinv(v, 12, trace, variant="paper")
         assert len(trace) == 9
         assert len(trace) > 4
         assert len(trace) <= 12 - 2 + 1
         x12 = LODO.monomial(R.one, 12)
         rho = x12 - skew_mul(v, w)
         assert rho.degree < 2
+
+    def test_newton_converges_logarithmically_on_the_worst_case(self):
+        # the paper's worst case above: Newton steps need 3 passes, each
+        # roughly doubling the correct top coefficients
+        v = op((42, 43, 109, 6, 20), (17, 43, 71, 42, 89), (1,))
+        trace = []
+        w = lshinv(v, 12, trace)
+        assert trace == [10, 8, 4]
+        assert w == lshinv(v, 12, variant="paper")
+        rho = LODO.monomial(R.one, 12) - skew_mul(v, w)
+        assert rho.degree < 2
+
+    def test_newton_matches_paper_and_classical(self):
+        # (p, k, h - k, y-degree): every p, y-degrees 0-8, h - k up to 60, and
+        # h < k, h = k, h = k + 1 for every p; divisors v and x**k; dividends
+        # zero, of degree below k and of degree h
+        cases = [
+            (2, 1, 60, 8), (2, 3, 17, 3), (3, 6, 34, 5), (3, 2, 9, 7), (5, 8, 22, 6),
+            (7, 5, 25, 4), (127, 2, 60, 1), (127, 12, 12, 3), (127, 4, 36, 2), (127, 1, 45, 0),
+        ]
+        edges = ((3, -1, 4), (3, 0, 8), (3, 1, 2), (1, 1, 6))
+        cases += [(p, k, d, y) for p in (2, 3, 5, 7, 127) for k, d, y in edges]
+        rng = random.Random(72)
+        for p, k, d, ydeg in cases:
+            lodo = make_lodo(p)
+            ring = lodo.ring
+            h = k + d
+            v = lodo.poly([ring.random_element(rng, ydeg) for _ in range(k)] + [ring.one])
+            for divisor in (v, lodo.monomial(ring.one, k)):
+                trace = []
+                w = lshinv(divisor, h, trace)
+                assert w == lshinv(divisor, h, variant="paper")
+                assert w == skew_classical_div(lodo.monomial(ring.one, h), divisor, LEFT)[0]
+                assert len(trace) <= max(d, 0).bit_length() + 2
+            for du in (-1, k - 1, h):
+                u = lodo.poly([ring.random_element(rng, ydeg) for _ in range(du)] + [ring.one])
+                if du < 0:
+                    u = lodo.zero()
+                want = skew_classical_div(u, v, RIGHT)
+                assert rquo_via_lshinv(u, v) == want
+                assert rquo_via_lshinv(u, v, variant="paper") == want
+
+    @pytest.mark.parametrize("variant", [None, "paper"])
+    def test_no_convergence_at_the_cap(self, monkeypatch, variant):
+        # with every update zeroed w never improves, so the loop must stop at
+        # its cap: ceil(log2(h-k+1)) + 2 Newton passes, h-k+1 paper passes
+        import polyquo.skew
+
+        monkeypatch.setattr(polyquo.skew, "shift", lambda p, n: p.ctx.zero())
+        rng = random.Random(73)
+        v = rand_op(rng, 3, monic=True)
+        trace = []
+        with pytest.raises(NoConvergence):
+            lshinv(v, 20, trace, variant=variant)
+        assert len(trace) == (18 if variant == "paper" else (20 - 3).bit_length() + 2)
+
+    def test_other_derivations_converge_to_the_classical_quotient(self):
+        # a zero derivation, where both updates coincide, over a field and a
+        # matrix ring; and y*d/dy, which is not nilpotent and takes the
+        # paper's update
+        def y_d_dy(f):
+            return R.mul((0, 1), R.diff(f))
+
+        rng = random.Random(74)
+        for ring, delta in ((GF(7), None), (MatrixRing(2, GF(7)), None), (R, y_d_dy)):
+            ctx = SkewPolyRing(ring, OrePair(None, delta), "D")
+            for _ in range(10):
+                k = rng.randrange(1, 4)
+                h = k + rng.randrange(12)
+                v = ctx.poly([ring.random_element(rng) for _ in range(k)] + [ring.one])
+                want, _ = skew_classical_div(ctx.monomial(ring.one, h), v, LEFT)
+                trace = []
+                assert lshinv(v, h, trace) == want
+                assert len(trace) <= h - k + 1
+
+    def test_rejects_unknown_variant(self):
+        with pytest.raises(ValueError):
+            lshinv(LODO.x(), 3, variant="newton")
 
     def test_update_cap_holds_on_random_instances(self):
         rng = random.Random(66)
@@ -360,20 +440,21 @@ class TestRquoViaLshinv:
             assert got_r == want_r
 
     def test_operation_counts_are_pinned(self):
-        # lodo-rquo's shapes; the counts were recorded with element-wise
-        # PolyRing products and must equal those of the element-wise twin
+        # lodo-rquo's shapes, by the Newton and the paper's update; the counts
+        # must equal those of the element-wise twin
         twin = elementwise_lodo(127)
-        rng = random.Random(24)
-        for pinned in (1589835, 1589633, 1589723):
-            v = rand_op(rng, 12, monic=True)
-            u = rand_op(rng, 24)
-            before, twin_before = R.mul_count, twin.ring.mul_count
-            q, r = rquo_via_lshinv(u, v)
-            assert R.mul_count - before == pinned
-            assert (q, r) == skew_classical_div(u, v, RIGHT)
-            tq, tr = rquo_via_lshinv(twin.poly(u.coeffs), twin.poly(v.coeffs))
-            assert twin.ring.mul_count - twin_before == pinned
-            assert (tq.coeffs, tr.coeffs) == (q.coeffs, r.coeffs)
+        for variant, pins in ((None, (36781, 36781, 36739)), ("paper", (75235, 75235, 75193))):
+            rng = random.Random(24)
+            for pinned in pins:
+                v = rand_op(rng, 12, monic=True)
+                u = rand_op(rng, 24)
+                before, twin_before = R.mul_count, twin.ring.mul_count
+                q, r = rquo_via_lshinv(u, v, variant)
+                assert R.mul_count - before == pinned
+                assert (q, r) == skew_classical_div(u, v, RIGHT)
+                tq, tr = rquo_via_lshinv(twin.poly(u.coeffs), twin.poly(v.coeffs), variant)
+                assert twin.ring.mul_count - twin_before == pinned
+                assert (tq.coeffs, tr.coeffs) == (q.coeffs, r.coeffs)
 
     def test_requires_monic(self):
         rng = random.Random(70)
@@ -419,18 +500,24 @@ class TestNonIdentitySigma:
             lshinv(ctx.x(), 3)
 
     def test_twisted_products_match_elementwise(self):
-        # sigma and delta together, sigma only, delta only
+        # sigma and delta together, sigma only, delta only, neither; a product
+        # kept from x**lo is the full one with the coefficients below zeroed
         scale = self._scaling_endomorphism(3)
         twin_ring = ElementwisePolyRing(GF(127))
-        for sigma, derive in ((scale, True), (scale, False), (None, True)):
+        pairs = ((scale, True), (scale, False), (None, True), (None, False))
+        for sigma, derive in pairs:
             ctx = SkewPolyRing(R, OrePair(sigma, R.diff if derive else None), "S")
             twin = SkewPolyRing(twin_ring, OrePair(sigma, twin_ring.diff if derive else None), "S")
             rng = random.Random(71)
             for _ in range(40):
                 a = ctx.poly(rand_op(rng, rng.randrange(9)).coeffs)
                 b = ctx.poly(rand_op(rng, rng.randrange(9), max_cdeg=rng.randrange(6)).coeffs)
-                before, twin_before = R.mul_count, twin_ring.mul_count
-                got = skew_mul(a, b)
-                want = skew_mul(twin.poly(a.coeffs), twin.poly(b.coeffs))
-                assert got.coeffs == want.coeffs
-                assert R.mul_count - before == twin_ring.mul_count - twin_before
+                full = skew_mul(a, b).coeffs
+                n = a.degree + b.degree
+                for lo in (0, 1, b.degree, n, n + 1, 10**6):
+                    before, twin_before = R.mul_count, twin_ring.mul_count
+                    got = skew_mul(a, b, lo)
+                    want = skew_mul(twin.poly(a.coeffs), twin.poly(b.coeffs), lo)
+                    assert got.coeffs == want.coeffs
+                    assert got == ctx.poly([R.zero] * min(lo, len(full)) + list(full[lo:]))
+                    assert R.mul_count - before == twin_ring.mul_count - twin_before
