@@ -108,7 +108,6 @@ def cmd_shinv(args):
             "records": [
                 {k: x for k, x in vars(rec).items() if k != "w"} for rec in trace.records
             ],
-            "guard_steps": trace.guard_steps,
         }
     _write(args.output, emit_document(out, extra))
     return 0
@@ -141,7 +140,7 @@ def random_poly(ring, rng, degree):
 BENCH_METHODS = ("classical", "refine1", "refine2", "refine3")
 
 
-def run_bench(ring, sizes, seed=0, repeat=1, methods=BENCH_METHODS):
+def run_bench(ring, sizes, seed=0, repeat=1):
     """Divide a random degree-2N polynomial by a random degree-N one, per method.
 
     Returns rows (method, N, iterations, mulCount, nanos).  Instances are
@@ -154,7 +153,7 @@ def run_bench(ring, sizes, seed=0, repeat=1, methods=BENCH_METHODS):
         rng = _random.Random("%d:%d" % (seed, n))
         u = random_poly(ring, rng, 2 * n)
         v = random_poly(ring, rng, n)
-        for method in methods:
+        for method in BENCH_METHODS:
             iterations = 0
             best = None
             mul_count = 0
@@ -240,7 +239,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (AlgebraicError, ZeroDivisionError) as exc:

@@ -112,7 +112,7 @@ def parse_document(text):
     """Parse and validate a document; raises ParseError on any defect."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ParseError("invalid JSON: %s" % exc) from None
     _require(isinstance(data, dict), "document must be a JSON object")
     desc = check_ring(data.get("ring"))
@@ -135,7 +135,11 @@ def emit_document(doc, extra=None):
 
 def load_document(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    return parse_document(text)
 
 
 def build_ring(desc):

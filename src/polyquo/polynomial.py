@@ -43,10 +43,11 @@ RIGHT = Orientation.RIGHT
 class CoeffPoly:
     """The immutable coefficient-sequence core shared by dense and skew polynomials.
 
-    A subclass names the slot holding its ring context in ``_owner``, exposes
-    the coefficient ring as ``ring`` and supplies ``_same_ring``; the
-    constructor takes (owner, coeffs, normalized) and trims trailing zeros
-    unless told the sequence is already normalized.
+    A subclass names the slot holding its ring context in ``_owner`` and
+    exposes the coefficient ring as ``ring``; the constructor takes (owner,
+    coeffs, normalized) and trims trailing zeros unless told the sequence is
+    already normalized.  Two polynomials are equal when they are of the same
+    kind, with equal contexts and equal coefficients.
     """
 
     __slots__ = ("coeffs",)
@@ -63,6 +64,26 @@ class CoeffPoly:
     def _like(self, coeffs, normalized=False):
         """A polynomial of the same kind and context with the given coefficients."""
         return type(self)(getattr(self, self._owner), coeffs, normalized)
+
+    def _same_context(self, other):
+        mine, theirs = getattr(self, self._owner), getattr(other, self._owner)
+        return mine is theirs or mine == theirs
+
+    def _same_ring(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError("expected a %s, got %r" % (type(self).__name__, other))
+        if not self._same_context(other):
+            raise ValueError("polynomials come from different rings")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self._same_context(other)
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def is_zero(self):
@@ -127,22 +148,6 @@ class DensePoly(CoeffPoly):
     def from_ints(cls, ring, ints):
         """Build from little-endian integers via the ring's canonical map."""
         return cls(ring, [ring.from_int(n) for n in ints])
-
-    def _same_ring(self, other):
-        if not isinstance(other, DensePoly):
-            raise TypeError("expected a DensePoly, got %r" % (other,))
-        if not (self.ring is other.ring or self.ring == other.ring):
-            raise ValueError("polynomials come from different rings")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DensePoly)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
 
     def __repr__(self):
         return "DensePoly(%r, %r)" % (self.ring, list(self.coeffs))

@@ -12,9 +12,7 @@ One loop, :func:`refine`, runs the iteration; each pass doubles the accurate
 prefix of w.  The ``variant`` argument of :func:`shinv` and :func:`quo` picks
 one of three configurations of it (None means 3):
 
-    1   full width: w is held at its final width h-k+1 throughout; over a
-        non-commutative coefficient ring one more full-width guard pass
-        follows the loop;
+    1   full width: w is held at its final width h-k+1 throughout;
     2   growing: w starts with 2 coefficients and grows by
         m = min(target - l, l) places per pass;
     3   growing with a truncated divisor: as 2, but each pass also drops the
@@ -46,10 +44,9 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    """Trace of a refinement run; guard steps are counted apart from the loop passes."""
+    """Trace of a refinement run: one record per pass."""
 
     records: list = field(default_factory=list)
-    guard_steps: int = 0
 
     def record(self, accurate, w, grow, drop):
         self.records.append(IterationRecord(accurate, w.prec, grow, drop, w))
@@ -105,18 +102,18 @@ def _variant(variant):
         raise ValueError("unknown refine variant %r" % (variant,)) from None
 
 
-def refine(v, h, k, w, accurate, variant=None, orientation=RIGHT, trace=None):
+def refine(v, h, w, accurate, variant=None, orientation=RIGHT, trace=None):
     """Refine w, accurate in its top ``accurate`` places, to the whole shifted inverse.
 
-    Each pass extends the accurate prefix from l to min(2l, h-k+1) places.
-    At full width w is scaled to h-k+1 coefficients up front and every pass
-    works at shift h; otherwise w grows by m = min(h-k+1 - l, l) per pass.
-    Truncating the divisor drops its max(0, k - 2(l+m) + 1) lowest
-    coefficients, since a pass reaching l+m places only depends on the top
-    2(l+m) of them.  At full width over a non-commutative ring one guard pass
-    at shift h follows the loop; exactness never depends on it.
+    With k = deg v, each pass extends the accurate prefix from l to
+    min(2l, h-k+1) places.  At full width w is scaled to h-k+1 coefficients
+    up front and every pass works at shift h; otherwise w grows by
+    m = min(h-k+1 - l, l) per pass.  Truncating the divisor drops its
+    max(0, k - 2(l+m) + 1) lowest coefficients, since a pass reaching l+m
+    places only depends on the top 2(l+m) of them.
     """
     full_width, truncate = _variant(variant)
+    k = v.degree
     target = h - k + 1
     if full_width:
         w = shift(w, target - accurate)
@@ -128,10 +125,6 @@ def refine(v, h, k, w, accurate, variant=None, orientation=RIGHT, trace=None):
         accurate = min(2 * accurate, target)
         if trace is not None:
             trace.record(accurate, w, grow, drop)
-    if full_width and not v.ring.is_commutative:
-        w = step(h, v, w, 0, accurate, orientation)
-        if trace is not None:
-            trace.guard_steps += 1
     return w
 
 
@@ -156,7 +149,7 @@ def shinv(v, h, variant=None, orientation=RIGHT, trace=None):
     if k == 0 or h == k or v == DensePoly.monomial(ring, v.lc, k):
         return DensePoly.monomial(ring, ring.inv(v.lc), h - k)
     w, accurate = shinv0(v)  # inverts lc(v)
-    return refine(v, h, k, w, accurate, variant, orientation, trace)
+    return refine(v, h, w, accurate, variant, orientation, trace)
 
 
 def quo(u, v, orientation=RIGHT, variant=None, trace=None):

@@ -135,22 +135,6 @@ class SkewPoly(CoeffPoly):
     def ring(self):
         return self.ctx.ring
 
-    def _same_ring(self, other):
-        if not isinstance(other, SkewPoly):
-            raise TypeError("expected a SkewPoly, got %r" % (other,))
-        if not (self.ctx is other.ctx or self.ctx == other.ctx):
-            raise ValueError("operands come from different skew rings")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewPoly)
-            and (self.ctx is other.ctx or self.ctx == other.ctx)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return "SkewPoly(%r)" % (list(self.coeffs),)
 

@@ -40,6 +40,37 @@ def expected_poly(path, name):
     return parse_document(path.read_text()).polys[name]
 
 
+def doc_file(tmp_path, content):
+    """A document file holding the given bytes."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    return str(path)
+
+
+GFP_DOC = '{"ring": {"kind": "gfp", "p": %s}, "polys": {"u": [%s], "v": [1]}}'
+LONG_INT = "1" * 5000
+
+# case -> (part of the one error line, builder of the argv from a scratch directory)
+HOSTILE_INPUTS = {
+    "divide_directory": ("Is a directory", lambda tmp: ["divide", str(tmp)]),
+    "shinv_directory": ("Is a directory", lambda tmp: ["shinv", str(tmp), "--h", "3"]),
+    "output_directory": ("Is a directory", lambda tmp: ["divide", MATRIX, "-o", str(tmp)]),
+    "not_utf8": ("UTF-8", lambda tmp: ["divide", doc_file(tmp, b'{"ring": "\xff"}')]),
+    "nested_deep": (
+        "invalid JSON",
+        lambda tmp: ["divide", doc_file(tmp, b"[" * 100_000 + b"]" * 100_000)],
+    ),
+    "long_entry": (
+        "invalid JSON",
+        lambda tmp: ["divide", doc_file(tmp, (GFP_DOC % (127, LONG_INT)).encode())],
+    ),
+    "long_modulus": (
+        "invalid JSON",
+        lambda tmp: ["divide", doc_file(tmp, (GFP_DOC % (LONG_INT, 1)).encode())],
+    ),
+}
+
+
 class TestDivide:
     @pytest.mark.parametrize("method", ["classical", "fast"])
     def test_matrix_right_division(self, capsys, method):
@@ -110,6 +141,11 @@ class TestDivide:
     def test_missing_file_exits_2(self, capsys):
         code, _ = run_cli(capsys, "divide", "/nonexistent/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+    def test_hostile_input_exits_2(self, capsys, tmp_path, case):
+        reason, argv = HOSTILE_INPUTS[case]
+        assert_usage_error(capsys, reason, *argv(tmp_path))
 
     def test_polyring_division(self, capsys, tmp_path):
         # (x + y)(x + 1) = x^2 + (y+1)x + y over GF(7)[y]
@@ -188,7 +224,7 @@ class TestShinvCommand:
         records = data["trace"]["records"]
         assert len(records) == 3
         assert [r["prec"] for r in records] == [9, 9, 9]
-        assert data["trace"]["guard_steps"] == 1
+        assert set(data["trace"]) == {"records"}
 
     def test_trace_refine2_prec_sequence(self, capsys):
         code, out = run_cli(capsys, "shinv", MATRIX, "--h", "13", "--refine", "2", "--trace")
@@ -279,6 +315,16 @@ class TestBench:
         rows = run_bench(GF(127), [64, 128, 256])
         got = {(method, n): (iterations, mul_count) for method, n, iterations, mul_count, _ in rows}
         assert got == PINNED_GF127_COUNTS
+
+    def test_matrix_operation_counts_are_pinned(self):
+        rows = run_bench(parse_ring_spec("matrix:127:3"), [16], seed=0)
+        got = {method: (iterations, mul_count) for method, _, iterations, mul_count, _ in rows}
+        assert got == {
+            "classical": (0, 8316),
+            "refine1": (4, 79191),
+            "refine2": (4, 43956),
+            "refine3": (4, 42768),
+        }
 
     def test_csv_shape_and_determinism(self, capsys):
         code, out1 = run_cli(capsys, "bench", "--degrees", "4,8", "--seed", "5")

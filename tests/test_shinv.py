@@ -197,7 +197,6 @@ class TestRefines:
             shinv(v, 101, None, RIGHT, default)
             shinv(v, 101, 3, RIGHT, three)
             assert default.records == three.records
-            assert default.guard_steps == three.guard_steps
             assert any(rec.divisor_drop for rec in default.records)
 
     def test_unknown_refine_raises(self):
@@ -214,16 +213,35 @@ class TestRefines:
             with pytest.raises(ValueError):
                 quo(DensePoly.zero(u.ring), v, LEFT, variant)
 
-    def test_guard_steps_default_and_trace(self):
+    def test_every_step_is_a_recorded_pass(self, monkeypatch):
+        # refine makes one Newton-Schulz step per loop pass and no other,
+        # over commutative and non-commutative rings alike
+        calls = []
+        real_step = shinv_module.step
+
+        def counting_step(*args, **kwargs):
+            calls.append(args)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(shinv_module, "step", counting_step)
         rng = random.Random(37)
-        F, M = GF(127), MatrixRing(3, GF(127))
-        vf = rand_poly(F, rng, 4, unit_lead=True)
-        vm = rand_poly(M, rng, 4, unit_lead=True)
-        tf, tm = IterationTrace(), IterationTrace()
-        shinv(vf, 12, 1, RIGHT, tf)
-        shinv(vm, 12, 1, RIGHT, tm)
-        assert tf.guard_steps == 0  # commutative default
-        assert tm.guard_steps == 1  # non-commutative default
+        rings = (GF(127), MatrixRing(2, GF(2)), MatrixRing(2, GF(3)), MatrixRing(3, GF(127)))
+        passes = 0
+        for ring in rings:
+            for _ in range(4):
+                k = rng.randrange(1, 7)
+                h = k + rng.randrange(1, 25)
+                v = rand_poly(ring, rng, k, unit_lead=True)
+                x_h = DensePoly.monomial(ring, ring.one, h)
+                for variant in (1, 2, 3):
+                    for side in (LEFT, RIGHT):
+                        trace = IterationTrace()
+                        calls.clear()
+                        w = shinv(v, h, variant, side, trace)
+                        assert len(calls) == trace.iterations
+                        assert w == classical_div(x_h, v, side)[0]
+                        passes += trace.iterations
+        assert passes > 0
 
 
 class TestShinvDispatch:
