@@ -8,6 +8,9 @@ that failed its own residual verification.
 """
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
 import time
 
@@ -51,38 +54,37 @@ def cmd_divide(args):
     ctx = build_ring(doc.ring)
     u = to_poly(doc, "u", ctx)
     v = to_poly(doc, "v", ctx)
-    if v.is_zero:
-        raise ZeroDivisionError("divisor is zero")
     side = Orientation(args.side)
-    if kind == "lodo":
-        if args.method == "classical":
-            q, r = skew_classical_div(u, v, side)
-        elif args.method == "fast":
-            if side is not RIGHT:
-                raise UnsupportedOperation(
-                    "only the right quotient of a skew polynomial can be"
-                    " computed from the shifted inverse"
-                )
-            q, r = rquo_via_lshinv(u, v)
+    with _output(args.output) as dest:
+        if kind == "lodo":
+            if args.method == "classical":
+                q, r = skew_classical_div(u, v, side)
+            elif args.method == "fast":
+                if side is not RIGHT:
+                    raise UnsupportedOperation(
+                        "only the right quotient of a skew polynomial can be"
+                        " computed from the shifted inverse"
+                    )
+                q, r = rquo_via_lshinv(u, v)
+            else:
+                raise UnsupportedOperation("pseudodivision is not defined for skew polynomials")
         else:
-            raise UnsupportedOperation("pseudodivision is not defined for skew polynomials")
-    else:
-        if args.method == "classical":
-            q, r = classical_div(u, v, side)
-        elif args.method == "fast":
-            q, r = quo(u, v, side, args.refine)
-        else:
-            q, r = pseudo_div(u, v, side)
-    ok = _residual_ok(u, v, q, r, side, args.method)
-    out = PolyDocument(ring=doc.ring, polys={"q": poly_payload(q), "r": poly_payload(r)})
-    extra = {
-        "result": {
-            "method": args.method,
-            "side": args.side,
-            "residual_ok": ok,
+            if args.method == "classical":
+                q, r = classical_div(u, v, side)
+            elif args.method == "fast":
+                q, r = quo(u, v, side, args.refine)
+            else:
+                q, r = pseudo_div(u, v, side)
+        ok = _residual_ok(u, v, q, r, side, args.method)
+        out = PolyDocument(ring=doc.ring, polys={"q": poly_payload(q), "r": poly_payload(r)})
+        extra = {
+            "result": {
+                "method": args.method,
+                "side": args.side,
+                "residual_ok": ok,
+            }
         }
-    }
-    _write(args.output, emit_document(out, extra))
+        dest.write(emit_document(out, extra))
     return 0 if ok else 1
 
 
@@ -100,16 +102,17 @@ def cmd_shinv(args):
     ctx = build_ring(doc.ring)
     v = to_poly(doc, "v", ctx)
     trace = IterationTrace() if args.trace else None
-    w = shinv(v, args.h, args.refine, RIGHT, trace)
-    out = PolyDocument(ring=doc.ring, polys={"shinv": poly_payload(w)})
-    extra = {"result": {"h": args.h, "refine": args.refine}}
-    if args.trace:
-        extra["trace"] = {
-            "records": [
-                {k: x for k, x in vars(rec).items() if k != "w"} for rec in trace.records
-            ],
-        }
-    _write(args.output, emit_document(out, extra))
+    with _output(args.output) as dest:
+        w = shinv(v, args.h, args.refine, RIGHT, trace)
+        out = PolyDocument(ring=doc.ring, polys={"shinv": poly_payload(w)})
+        extra = {"result": {"h": args.h, "refine": args.refine}}
+        if args.trace:
+            extra["trace"] = {
+                "records": [
+                    {k: x for k, x in vars(rec).items() if k != "w"} for rec in trace.records
+                ],
+            }
+        dest.write(emit_document(out, extra))
     return 0
 
 
@@ -145,6 +148,7 @@ def run_bench(ring, sizes, seed=0, repeat=1):
 
     Returns rows (method, N, iterations, mulCount, nanos).  Instances are
     deterministic in the seed; N = deg u - deg v is the quotient degree.
+    Each division runs ``repeat`` >= 1 times and nanos is the fastest run.
     """
     import random as _random
 
@@ -154,10 +158,8 @@ def run_bench(ring, sizes, seed=0, repeat=1):
         u = random_poly(ring, rng, 2 * n)
         v = random_poly(ring, rng, n)
         for method in BENCH_METHODS:
-            iterations = 0
-            best = None
-            mul_count = 0
-            for _ in range(max(1, repeat)):
+            times = []
+            for _ in range(repeat):
                 trace = IterationTrace()
                 before = ring.mul_count
                 t0 = time.perf_counter_ns()
@@ -165,11 +167,8 @@ def run_bench(ring, sizes, seed=0, repeat=1):
                     classical_div(u, v, RIGHT)
                 else:
                     quo(u, v, RIGHT, int(method[-1]), trace)
-                elapsed = time.perf_counter_ns() - t0
-                mul_count = ring.mul_count - before
-                iterations = trace.iterations
-                best = elapsed if best is None else min(best, elapsed)
-            rows.append((method, n, iterations, mul_count, best))
+                times.append(time.perf_counter_ns() - t0)
+            rows.append((method, n, trace.iterations, ring.mul_count - before, min(times)))
     return rows
 
 
@@ -183,20 +182,32 @@ def cmd_bench(args):
             "--degrees must be comma-separated non-negative integers at most %d, got %r"
             % (MAX_DEGREE, args.degrees)
         )
+    if args.repeat < 1:
+        raise ParseError("--repeat must be a positive integer, got %d" % args.repeat)
     ring = parse_ring_spec(args.ring)
-    rows = run_bench(ring, sizes, seed=args.seed, repeat=args.repeat)
-    lines = ["method,N,iterations,mulCount,nanos"]
-    lines += ["%s,%d,%d,%d,%d" % row for row in rows]
-    _write(args.output, "\n".join(lines) + "\n")
+    with _output(args.output) as dest:
+        rows = run_bench(ring, sizes, seed=args.seed, repeat=args.repeat)
+        lines = ["method,N,iterations,mulCount,nanos"]
+        lines += ["%s,%d,%d,%d,%d" % row for row in rows]
+        dest.write("\n".join(lines) + "\n")
     return 0
 
 
-def _write(path, text):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path):
+    """The stream for a command's result, with the ``-o`` file opened before the work.
+
+    The file is opened without truncation, so a run that fails keeps an
+    existing file's bytes.  The result overwrites them from the start, and a
+    run that succeeds cuts off the old tail of a regular file.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def build_parser():

@@ -120,7 +120,7 @@ class CoeffPoly:
         return self._like(self.ring.seq_sub(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return self._like(self.ring.seq_neg(self.coeffs), normalized=True)
+        return self._like(self.ring.seq_sub((), self.coeffs), normalized=True)
 
 
 class DensePoly(CoeffPoly):

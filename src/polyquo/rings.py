@@ -11,18 +11,18 @@ instance and merge the counts afterwards.
 
 Besides element operations, a ring supplies the coefficient-sequence kernels
 that polynomial arithmetic is built from: ``seq_mul`` (a schoolbook product,
-optionally kept below x**n; the leaves of Karatsuba), ``seq_add``, ``seq_sub``,
-``seq_neg`` and ``seq_lincomb`` (a sum of rows, each scaled on the left; the
-skew product).  The :class:`Ring` defaults are element-wise loops over
-``mul``/``add``/``sub``/``neg`` and are the counted reference.  :class:`GF`
-overrides them with bulk integer arithmetic: its leaf product packs each
-operand into one Python int (Kronecker substitution), multiplies once and
-unpacks, then tallies exactly the base multiplications the element-wise leaf
-would have made, so ``mul_count`` means the same on every path.
-:class:`PolyRing` does the same in two variables for ``seq_lincomb``: each
-row becomes one int with a block of slots per entry, and the scaled rows are
-summed as ints and unpacked once.  Its ``seq_add`` and ``seq_sub`` are
-list-wise.
+optionally kept below x**n; the leaves of Karatsuba), ``seq_add``,
+``seq_sub`` (``seq_sub((), a)`` negates) and ``seq_lincomb`` (a sum of rows,
+each scaled on the left; the skew product).  The :class:`Ring` defaults are
+element-wise loops over ``mul``/``add``/``sub`` and are the counted
+reference.  :class:`GF` overrides the first three with bulk integer
+arithmetic: its leaf product packs each operand into one Python int
+(Kronecker substitution), multiplies once and unpacks, then tallies exactly
+the base multiplications the element-wise leaf would have made, so
+``mul_count`` means the same on every path.  :class:`PolyRing` does the same
+in two variables for ``seq_lincomb``: each row becomes one int with a block
+of slots per entry, and the scaled rows are summed as ints and unpacked
+once.  Its ``seq_add`` and ``seq_sub`` are list-wise.
 """
 
 import sys
@@ -130,10 +130,6 @@ class Ring:
         sub = self.sub
         zero = self.zero
         return [sub(x, y) for x, y in zip_longest(a, b, fillvalue=zero)]
-
-    def seq_neg(self, a):
-        neg = self.neg
-        return [neg(c) for c in a]
 
     def seq_lincomb(self, scalars, rows):
         """The sum of scalars[i] * rows[i], each scalar multiplying its row's entries from the left.
@@ -264,10 +260,6 @@ class GF(Ring):
         p = self.p
         return [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]
 
-    def seq_neg(self, a):
-        p = self.p
-        return [-x % p for x in a]
-
 
 # GF.seq_mul multiplies element-wise when len(a) * len(b) is at most this;
 # below it, packing costs more than the products it replaces.
@@ -312,10 +304,8 @@ class MatrixRing(Ring):
         self.n = n
         self.base = base
         self.is_commutative = n == 1 and base.is_commutative
-        self.zero = tuple(tuple(base.zero for _ in range(n)) for _ in range(n))
-        self.one = tuple(
-            tuple(base.one if i == j else base.zero for j in range(n)) for i in range(n)
-        )
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     def __repr__(self):
         return "MatrixRing(%d, %r)" % (self.n, self.base)
@@ -436,8 +426,6 @@ class PolyRing(Ring):
     provides the formal derivative ``diff``.
     """
 
-    is_commutative = True
-
     def __init__(self, base, var="y"):
         if not isinstance(base, GF):
             raise TypeError("PolyRing coefficients must come from a GF instance")
@@ -463,7 +451,7 @@ class PolyRing(Ring):
         return trim(self.base.seq_add(a, b))
 
     def neg(self, a):
-        return tuple(self.base.seq_neg(a))
+        return tuple(self.base.seq_sub((), a))
 
     def mul(self, a, b):
         if not a or not b:

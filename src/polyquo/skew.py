@@ -21,12 +21,13 @@ update as for central variables, w <- w + shift(w * rho, -h) with
 rho = x**h - v*w, but here it may gain as little as one correct coefficient
 per pass.  By default ``lshinv`` takes the exact Newton step instead, in the
 ring of pseudo-differential operators: x**-h is moved past rho's
-coefficients by the Leibniz rule, which over GF(p)[y] leaves finitely many
-terms, so w * x**-h * rho = (w * R) * x**-(h+K) for an ordinary operator R.
-That roughly doubles the correct coefficients per pass, and the loop is
-capped at ceil(log2(h-k+1)) + 2 passes; the paper's update stays selectable
-with ``variant="paper"`` and keeps its linear cap.  Both stop on the
-residual-degree test.
+coefficients by the Leibniz rule, and only finitely many of the terms reach
+x**0 after w, so the step is w <- w + shift(w * R, -(h+K)) for an ordinary
+operator R and K = deg rho - k.  The paper's update is its case
+(R, K) = (rho, 0).  Newton roughly doubles the correct coefficients per
+pass and is capped at ceil(log2(h-k+1)) + 2 passes; the paper's update
+stays selectable with ``variant="paper"`` and keeps its linear cap.  Both
+stop on the residual-degree test.
 
 Every product in the route but the remainder's is kept only from some
 degree on, so ``skew_mul`` takes ``lo`` and computes only the coefficients
@@ -263,22 +264,20 @@ def skew_classical_div(u, v, orientation=RIGHT):
 def lshinv(v, h, trace=None, variant=None):
     """Left whole h-shifted inverse x**h lquo v for monic differential v.
 
-    Both variants start from the two top coefficients of the answer and pass
-    until the residual rho = x**h - v*w drops below deg v = k, which
-    certifies w exactly.  Only rho's terms from x**k on are computed, and
-    each pass makes two products: v*w, then the update.
+    Start from the two top coefficients of the answer and pass until the
+    residual rho = x**h - v*w, computed from x**k on, drops below deg v = k,
+    which certifies w exactly.  Each pass makes two products: v*w, then the
+    update w <- w + shift(w * R, -(h+K)).
 
-    ``variant=None`` takes Newton steps in the ring of pseudo-differential
-    operators, w <- w + polypart(w * x**-h * rho), and roughly doubles the
-    number of correct coefficients per pass; up to ceil(log2(h-k+1)) + 2
-    updates are allowed before NoConvergence is raised.  ``variant="paper"``
-    is the paper's w <- w + shift(w * rho, -h), which may add only one correct
-    coefficient per pass, so it is allowed h-k+1 updates.  With a zero
-    derivation the two updates coincide.  A derivation other than zero or the
-    coefficient ring's ``diff`` need not be nilpotent, so x**-h cannot be
-    moved past a coefficient in finitely many terms, and it takes the paper's
-    update.  ``trace``, if given, collects the residual degree seen before
-    each update.
+    ``variant=None`` takes the Newton step in the ring of pseudo-differential
+    operators, (R, K) from :func:`_negative_power_times`, and is allowed
+    ceil(log2(h-k+1)) + 2 updates.  ``variant="paper"`` is the same step with
+    (R, K) = (rho, 0), which may add only one correct coefficient per pass,
+    so it is allowed h-k+1.  With a zero derivation the two coincide.  A
+    derivation other than zero or the ring's ``diff`` need not be nilpotent,
+    so x**-h cannot pass a coefficient in finitely many terms: it takes the
+    paper's step.  ``trace``, if given, collects the residual degree seen
+    before each update.
     """
     if variant not in (None, "paper"):
         raise ValueError("unknown lshinv variant %r" % (variant,))
@@ -296,11 +295,13 @@ def lshinv(v, h, trace=None, variant=None):
     if h == k:
         return ctx.one()
     delta = ctx.ore.delta
-    if delta is not None and _map_key(delta) != _map_key(getattr(ring, "diff", None)):
-        variant = "paper"
+    newton = variant is None and (
+        delta is None or _map_key(delta) == _map_key(getattr(ring, "diff", None))
+    )
+    leibniz = newton and delta is not None  # a zero derivation's R is rho
     xh = ctx.monomial(ring.one, h)
     w = ctx.monomial(ring.one, h - k) - ctx.monomial(v.coeff(k - 1), h - k - 1)
-    cap = h - k + 1 if variant == "paper" else (h - k).bit_length() + 2
+    cap = (h - k).bit_length() + 2 if newton else h - k + 1
     updates = 0
     while True:
         rho = xh - skew_mul(v, w, k)
@@ -312,38 +313,34 @@ def lshinv(v, h, trace=None, variant=None):
             )
         if trace is not None:
             trace.append(rho.degree)
-        if variant == "paper" or delta is None:
-            w = w + shift(skew_mul(w, rho, h), -h)
-        else:
-            K = max(map(len, rho.coeffs)) - 1
-            lo = h + K
-            w = w + shift(skew_mul(w, _negative_power_times(rho, h, K, lo - w.degree), lo), -lo)
+        R, K = _negative_power_times(rho, h, k) if leibniz else (rho, 0)
+        w = w + shift(skew_mul(w, R, h + K), -(h + K))
         updates += 1
 
 
-def _negative_power_times(rho, h, K, lo):
-    """R with x**-h * rho = R * x**-(h+K), over GF(p)[y], kept from x**lo on.
+def _negative_power_times(rho, h, k):
+    """(R, K) with w * x**-h * rho = w * R * x**-(h+K) from x**0 on, for deg w = h-k.
 
-    By the Leibniz rule for negative powers, x**-h * c = sum over kappa of
-    C(-h, kappa) c^(kappa) x**(-h-kappa); the sum stops at the y-degree of c,
-    so K, the largest y-degree in rho, makes every power of R non-negative.
-    The entries are integer multiples of derivatives: like ``diff``, they make
-    no counted multiplication.
+    Over GF(p)[y], by the Leibniz rule for negative powers, x**-h * c is the
+    finite sum over kappa of C(-h, kappa) c^(kappa) x**(-h-kappa).  A term of
+    rho_j with kappa > j-k lies below x**(k-h), so after w below x**0, and is
+    left out; K = deg rho - k then makes every power of R non-negative.  The
+    entries are integer multiples of derivatives: like ``diff``, they make no
+    counted multiplication.
     """
-    ctx = rho.ctx
-    ring = ctx.ring
+    ring = rho.ring
     p = ring.base.p
-    binom = [(-1) ** kappa * comb(h + kappa - 1, kappa) % p for kappa in range(K + 1)]
+    K = rho.degree - k
     acc = [ring.zero] * (len(rho.coeffs) + K)
-    for j in range(max(lo - K, 0), len(rho.coeffs)):
+    for j in range(k, len(rho.coeffs)):
         d = rho.coeffs[j]
-        for kappa in range(min(K, j + K - lo) + 1):
+        for kappa in range(j - k + 1):
             if not d:
                 break
-            b = binom[kappa]
+            b = (-1) ** kappa * comb(h + kappa - 1, kappa) % p
             acc[j + K - kappa] = ring.add(acc[j + K - kappa], [(b * x) % p for x in d])
             d = ring.diff(d)
-    return SkewPoly(ctx, acc)
+    return rho._like(acc), K
 
 
 def rshinv(v, h):

@@ -29,7 +29,6 @@ class ElementwiseGF(GF):
     seq_mul = Ring.seq_mul
     seq_add = Ring.seq_add
     seq_sub = Ring.seq_sub
-    seq_neg = Ring.seq_neg
 
 
 class ElementwisePolyRing(PolyRing):

@@ -413,6 +413,10 @@ class TestBadNumbers:
         assert_usage_error(capsys, "at most %d" % MAX_DEGREE, "bench", "--degrees",
                            "4,%d" % (MAX_DEGREE + 1))
 
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_repeat_below_one_exits_2(self, capsys, repeat):
+        assert_usage_error(capsys, "--repeat", "bench", "--degrees", "4", "--repeat=" + repeat)
+
 
 class TestMatrixDimensionBound:
     @pytest.fixture(autouse=True)
@@ -496,3 +500,80 @@ class TestDocumentLengthBound:
         for kind, polys in (("gfp", {"v": at_bound}), ("lodo", {"v": [at_bound]})):
             doc = parse_document(json.dumps({"ring": {"kind": kind, "p": 7}, "polys": polys}))
             assert doc.polys == polys
+
+
+# ring kind -> (descriptor, a nonzero u) for a document whose v is zero
+ZERO_DIVISOR_DOCS = {
+    "gfp": ({"kind": "gfp", "p": 7}, [1, 2, 3]),
+    "matrix": ({"kind": "matrix", "p": 7, "n": 2}, [[[1, 0], [0, 1]], [[1, 2], [3, 4]]]),
+    "polyring": ({"kind": "polyring", "p": 7}, [[1], [0, 1]]),
+    "lodo": ({"kind": "lodo", "p": 7}, [[1], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_DIVISOR_DOCS))
+@pytest.mark.parametrize("method", ["classical", "fast", "pseudo"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_zero_divisor_exits_3(capsys, tmp_path, kind, method, side):
+    ring, u = ZERO_DIVISOR_DOCS[kind]
+    path = write_doc(tmp_path, ring, {"u": u, "v": []})
+    code = main(["divide", path, "--method", method, "--side", side])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+# every routine cmd_divide may divide with
+DIVISIONS = ("classical_div", "quo", "pseudo_div", "skew_classical_div", "rquo_via_lshinv")
+
+
+class TestOutputOpenedFirst:
+    """``-o`` is opened before any algebra runs, and a failed run keeps an existing file."""
+
+    @pytest.mark.parametrize("argv, work", [
+        (["divide", MATRIX], DIVISIONS),
+        (["divide", LODO, "--method", "fast"], DIVISIONS),
+        (["shinv", MATRIX, "--h", "13"], ("shinv",)),
+        (["bench", "--degrees", "4,8"], ("run_bench",)),
+    ], ids=["divide", "divide_lodo", "shinv", "bench"])
+    def test_output_directory_exits_2_before_the_work(self, capsys, monkeypatch, tmp_path,
+                                                      argv, work):
+        import polyquo.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work started before the output was opened")
+
+        for name in work:
+            monkeypatch.setattr(cli, name, refuse)
+        assert_usage_error(capsys, "Is a directory", *argv, "-o", str(tmp_path))
+
+    def test_failed_runs_keep_an_existing_output(self, capsys, tmp_path):
+        singular = write_doc(tmp_path, {"kind": "matrix", "p": 7, "n": 2}, {
+            "u": [[[1, 0], [0, 1]]],
+            "v": [[[1, 0], [0, 1]], [[1, 1], [1, 1]]],
+        })
+        out = tmp_path / "out.json"
+        out.write_bytes(b"earlier result\n")
+        for argv, want in (
+            (["divide", singular, "--method", "fast"], 3),
+            (["divide", str(tmp_path / "missing.json")], 2),
+            (["shinv", singular, "--h", "-1"], 2),
+            (["bench", "--degrees", "4", "--ring", "gfp:4"], 2),
+        ):
+            assert main(argv + ["-o", str(out)]) == want
+            assert out.read_bytes() == b"earlier result\n"
+        capsys.readouterr()
+
+    def test_success_replaces_a_longer_output(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("x" * 100_000)
+        code, want = run_cli(capsys, "divide", MATRIX)
+        assert code == 0
+        assert main(["divide", MATRIX, "-o", str(out)]) == 0
+        assert out.read_text() == want
+
+    def test_output_to_a_device(self, capsys):
+        # a device cannot be truncated; it is written to as before
+        assert main(["divide", MATRIX, "-o", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")

@@ -1,9 +1,10 @@
 import random
+from math import isqrt
 
 import pytest
 
 from polyquo import GF, DimensionMismatch, MatrixRing, NotInvertible, PolyRing
-from polyquo.rings import trim
+from polyquo.rings import is_prime_modulus, trim
 
 from helpers import egcd_inverse, standard_rings
 
@@ -31,6 +32,18 @@ class TestGF:
                 GF(p)
         assert GF(2).inv(1) == 1
         assert GF(2**31 - 1).inv(2) == 2**30
+        # past the 2/3/5/7 screen: 143 = 11*13 and the strong pseudoprimes to
+        # base 2 (2047), bases 2, 3 (1373653) and bases 2, 3, 5 (25326001) are
+        # composite, and 13, 257, 65537 are primes whose witnesses reach the
+        # squaring loop
+        for p in (143, 2047, 1373653, 25326001):
+            assert not is_prime_modulus(p)
+            with pytest.raises(ValueError):
+                GF(p)
+        for p in (13, 257, 65537):
+            assert is_prime_modulus(p)
+        for n in range(10**4):
+            assert is_prime_modulus(n) == (n > 1 and all(n % d for d in range(2, isqrt(n) + 1)))
 
     def test_inv_zero_raises_zero_division(self):
         with pytest.raises(ZeroDivisionError):

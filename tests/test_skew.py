@@ -11,6 +11,7 @@ from polyquo import (
     NoConvergence,
     NotMonic,
     OrePair,
+    PolyRing,
     SkewPolyRing,
     UnsupportedSigma,
     apply_operator,
@@ -360,6 +361,21 @@ class TestLshinv:
         with pytest.raises(NoConvergence):
             lshinv(v, 20, trace, variant=variant)
         assert len(trace) == (18 if variant == "paper" else (20 - 3).bit_length() + 2)
+        # the regime is the context's: a zero derivation keeps Newton's cap,
+        # y*d/dy (not nilpotent) takes the paper's whatever the variant
+        F7y = PolyRing(GF(7))
+        for ring, delta, newton in (
+            (GF(7), None, variant is None),
+            (F7y, lambda f: F7y.mul((0, 1), F7y.diff(f)), False),
+        ):
+            ctx = SkewPolyRing(ring, OrePair(None, delta), "D")
+            for k, h in ((1, 4), (3, 20), (2, 35)):
+                # units below the lead keep the start value from being exact
+                v = ctx.poly([ring.random_invertible(rng) for _ in range(k)] + [ring.one])
+                trace = []
+                with pytest.raises(NoConvergence):
+                    lshinv(v, h, trace, variant=variant)
+                assert len(trace) == ((h - k).bit_length() + 2 if newton else h - k + 1)
 
     def test_other_derivations_converge_to_the_classical_quotient(self):
         # a zero derivation, where both updates coincide, over a field and a
