@@ -9,6 +9,7 @@ that failed its own residual verification.
 
 import argparse
 import contextlib
+import functools
 import os
 import stat
 import sys
@@ -225,7 +226,6 @@ def build_parser():
     )
     p_div.add_argument("--refine", type=int, choices=(1, 2, 3), default=3)
     p_div.add_argument("-o", "--output", default=None)
-    p_div.set_defaults(func=cmd_divide)
 
     p_sh = sub.add_parser("shinv", help="whole H-shifted inverse of v from a document")
     p_sh.add_argument("input", help="path to a JSON polynomial document with v")
@@ -233,7 +233,6 @@ def build_parser():
     p_sh.add_argument("--refine", type=int, choices=(1, 2, 3), default=3)
     p_sh.add_argument("--trace", action="store_true")
     p_sh.add_argument("-o", "--output", default=None)
-    p_sh.set_defaults(func=cmd_shinv)
 
     p_bench = sub.add_parser("bench", help="operation-count benchmark, CSV output")
     p_bench.add_argument("--degrees", default="64,128,256,512")
@@ -241,15 +240,21 @@ def build_parser():
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("-o", "--output", default=None)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` uses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on each call, so a replaced cmd_* function is the one run
+    command = {"divide": cmd_divide, "shinv": cmd_shinv, "bench": cmd_bench}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ParseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -159,20 +159,22 @@ class DensePoly(CoeffPoly):
 
 
 def _mul_coeffs(ring, a, b):
-    """Order-preserving product of coefficient sequences (may have junk trailing zeros)."""
+    """Order-preserving product of coefficient sequences (may have junk trailing zeros).
+
+    A product that Karatsuba splits goes whole to ``ring.seq_product`` when
+    the ring has one, tallied the count of the recursion from
+    :func:`_karatsuba_count`; otherwise it recurses, with ``ring.seq_mul`` at
+    the leaves.
+    """
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
+    split = _karatsuba_split(a, b, ring.seq_add, ring.seq_add)
+    if split is None:
         return ring.seq_mul(a, b)
-    # Karatsuba split at half of the longer operand.  Left factors always come
-    # from a and right factors from b, so no commutation is assumed.  a0 and
-    # b0 are never empty; a1 or b1 is when the shorter operand fits in m.
-    m = max(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    low = _mul_coeffs(ring, a0, b0)
-    high = _mul_coeffs(ring, a1, b1)
-    mid = _mul_coeffs(ring, ring.seq_add(a0, a1), ring.seq_add(b0, b1))
+    m, *parts = split
+    if ring.seq_product is not None:
+        return ring.seq_product(a, b, sum(_karatsuba_count(ring, x, y) for x, y in parts))
+    low, high, mid = [_mul_coeffs(ring, x, y) for x, y in parts]
     mid = ring.seq_sub(mid, low)
     if high:
         mid = ring.seq_sub(mid, high)
@@ -184,6 +186,47 @@ def _mul_coeffs(ring, a, b):
     end = m + len(mid)
     out[m:end] = ring.seq_add(out[m:end], mid)
     return out
+
+
+def _karatsuba_split(a, b, add_a, add_b):
+    """Karatsuba's split of a*b, or None when a*b is a schoolbook leaf.
+
+    A product splits when both operands have more than
+    ``KARATSUBA_THRESHOLD`` coefficients, at m, half the longer operand.  The
+    split is m with the operand pairs of the three sub-products: (a0, b0),
+    (a1, b1) and (a0 + a1, b0 + b1), where a0 = a[:m] and a1 = a[m:], and
+    likewise for b.  Left factors always come from a and right factors from
+    b, so no commutation is assumed.  a0 and b0 are never empty; a1 or b1 is
+    when the shorter operand fits in m.
+    """
+    la, lb = len(a), len(b)
+    if la <= KARATSUBA_THRESHOLD or lb <= KARATSUBA_THRESHOLD:
+        return None
+    m = (la if la > lb else lb) // 2
+    a0, a1 = a[:m], a[m:]
+    b0, b1 = b[:m], b[m:]
+    return m, (a0, b0), (a1, b1), (add_a(a0, a1), add_b(b0, b1))
+
+
+def _karatsuba_count(ring, a, b):
+    """The base multiplications :func:`_mul_coeffs` makes when it recurses on a*b.
+
+    No product is formed.  A schoolbook leaf makes one per nonzero entry of
+    its left operand and entry of its right operand, so of b only the lengths
+    of its parts are read, and the sum of its halves is taken as the longer
+    half.  The left operand's sums are formed with ``ring.seq_add``, since
+    cancellation makes zeros in them.
+    """
+    split = _karatsuba_split(a, b, ring.seq_add, _longer)
+    if split is None:
+        return (len(a) - a.count(ring.zero)) * len(b)
+    _, low, high, mid = split
+    return (_karatsuba_count(ring, *low) + _karatsuba_count(ring, *high)
+            + _karatsuba_count(ring, *mid))
+
+
+def _longer(x, y):
+    return x if len(x) >= len(y) else y
 
 
 def mul_oriented(u, v, orientation):

@@ -16,13 +16,16 @@ optionally kept below x**n; the leaves of Karatsuba), ``seq_add``,
 each scaled on the left; the skew product).  The :class:`Ring` defaults are
 element-wise loops over ``mul``/``add``/``sub`` and are the counted
 reference.  :class:`GF` overrides the first three with bulk integer
-arithmetic: its leaf product packs each operand into one Python int
-(Kronecker substitution), multiplies once and unpacks, then tallies exactly
-the base multiplications the element-wise leaf would have made, so
-``mul_count`` means the same on every path.  :class:`PolyRing` does the same
-in two variables for ``seq_lincomb``: each row becomes one int with a block
-of slots per entry, and the scaled rows are summed as ints and unpacked
-once.  Its ``seq_add`` and ``seq_sub`` are list-wise.
+arithmetic, and adds ``seq_product``: a whole product packed into one
+Python int per operand (Kronecker substitution), multiplied once and
+unpacked.  Every product that Karatsuba would split runs as one such
+multiply, tallied the count that the recursion makes (the polynomial layer
+walks the split to find it), and so does every leaf above a few coefficient
+pairs, tallied the count of the element-wise leaf; so ``mul_count`` means the
+same on every path.  :class:`PolyRing` packs in two variables for
+``seq_lincomb``: each row becomes one int with a block of slots per entry, and
+the scaled rows are summed as ints and unpacked once.  Its ``seq_add`` and
+``seq_sub`` are list-wise.
 """
 
 import sys
@@ -49,12 +52,16 @@ class Ring:
     is a monotone count of base-field multiplications performed so far.  The
     ``seq_*`` kernels work on whole coefficient sequences and return lists; a
     ring may override them with faster code that gives the same lists and
-    advances ``mul_count`` by the same amount.
+    advances ``mul_count`` by the same amount.  ``seq_product`` is None, or
+    a whole product ``seq_product(a, b, count)`` that advances ``mul_count`` by
+    the given count; products that Karatsuba would split then skip the
+    recursion.
     """
 
     is_commutative = True
     zero = None
     one = None
+    seq_product = None
 
     def add(self, a, b):
         raise NotImplementedError
@@ -231,10 +238,9 @@ class GF(Ring):
         """The schoolbook leaf product, computed in bulk; see :meth:`Ring.seq_mul`.
 
         Operands with more than ``_ELEMENTWISE_PAIRS`` coefficient pairs are
-        packed into one int each, with a byte-aligned slot per coefficient
-        wide enough for (p-1)**2 * min(len a, len b), so that no slot of the
-        product overflows into the next.  The count tallied is the one the
-        element-wise leaf makes.  Smaller operands take the element-wise leaf.
+        cut to the kept size and multiplied by :meth:`seq_product`, tallied
+        the count the element-wise leaf makes.  Smaller operands take the
+        element-wise leaf.
         """
         size = len(a) + len(b) - 1
         if n is not None and n < size:
@@ -243,14 +249,26 @@ class GF(Ring):
         if la * lb <= _ELEMENTWISE_PAIRS:
             return Ring.seq_mul(self, a, b, n)
         a, b = a[:size], b[:size]
-        p = self.p
         if size == la + lb - 1 and 0 not in a:
-            self.tally(la * lb)
+            count = la * lb
         else:
-            self.tally(sum(min(lb, size - i) for i, c in enumerate(a) if c))
-        w = _slot_width((p - 1) ** 2 * min(la, lb))
-        product = _unpack_int(_pack_int(a, w) * _pack_int(b, w), w, la + lb - 1)
-        return [c % p for c in product[:size]]
+            count = sum(min(lb, size - i) for i, c in enumerate(a) if c)
+        return self.seq_product(a, b, count)[:size]
+
+    def seq_product(self, a, b, count):
+        """The whole product of nonempty a and b as one packed multiply, tallying ``count``.
+
+        Each operand is packed into one int with a byte-aligned slot per
+        coefficient, wide enough for (p-1)**2 * min(len a, len b), so that no
+        slot of the product overflows into the next.  The product is unpacked
+        and reduced mod p.  The caller gives the count of base multiplications
+        its element-wise route would make.
+        """
+        self.tally(count)
+        p = self.p
+        w = _slot_width((p - 1) ** 2 * min(len(a), len(b)))
+        product = _pack_int(a, w) * _pack_int(b, w)
+        return [c % p for c in _unpack_int(product, w, len(a) + len(b) - 1)]
 
     def seq_add(self, a, b):
         p = self.p

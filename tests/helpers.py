@@ -24,11 +24,16 @@ def standard_rings():
 
 
 class ElementwiseGF(GF):
-    """GF(p) running the element-wise Ring kernels, the counted reference for GF's own."""
+    """GF(p) running the element-wise Ring kernels, the counted reference for GF's own.
+
+    Without ``seq_product`` its Karatsuba products recurse down to the
+    element-wise leaves, so they check GF's whole products and their counts.
+    """
 
     seq_mul = Ring.seq_mul
     seq_add = Ring.seq_add
     seq_sub = Ring.seq_sub
+    seq_product = None
 
 
 class ElementwisePolyRing(PolyRing):

@@ -291,9 +291,11 @@ class TestAlgebraicErrors:
         assert (code, captured.out, captured.err) == (3, "", "error: no inverse today\n")
 
 
-# run_bench(GF(127), [64, 128, 256]) at seed 0: (method, N) -> (iterations, mulCount).
-# mulCount counts one base multiplication per coefficient pair of the
-# element-wise schoolbook leaf, whatever kernel computes the product.
+# run_bench(GF(127), [64, 128, 256, 512, 1024]) at seed 0: (method, N) ->
+# (iterations, mulCount).  mulCount counts one base multiplication per
+# coefficient pair of the element-wise schoolbook leaves of the Karatsuba
+# recursion, whatever kernel computes the product; from N = 512 up most
+# products are whole packed multiplies, counted by a walk of the split.
 PINNED_GF127_COUNTS = {
     ("classical", 64): (0, 4224),
     ("refine1", 64): (6, 39372),
@@ -307,12 +309,20 @@ PINNED_GF127_COUNTS = {
     ("refine1", 256): (8, 480551),
     ("refine2", 256): (8, 176914),
     ("refine3", 256): (8, 158084),
+    ("classical", 512): (0, 261626),
+    ("refine1", 512): (9, 1627510),
+    ("refine2", 512): (9, 538660),
+    ("refine3", 512): (9, 473968),
+    ("classical", 1024): (0, 1039338),
+    ("refine1", 1024): (10, 5443390),
+    ("refine2", 1024): (10, 1634876),
+    ("refine3", 1024): (10, 1422956),
 }
 
 
 class TestBench:
     def test_operation_counts_are_pinned(self):
-        rows = run_bench(GF(127), [64, 128, 256])
+        rows = run_bench(GF(127), [64, 128, 256, 512, 1024])
         got = {(method, n): (iterations, mul_count) for method, n, iterations, mul_count, _ in rows}
         assert got == PINNED_GF127_COUNTS
 
@@ -577,3 +587,50 @@ class TestOutputOpenedFirst:
         # a device cannot be truncated; it is written to as before
         assert main(["divide", MATRIX, "-o", os.devnull]) == 0
         assert capsys.readouterr() == ("", "")
+
+
+class TestParserReuse:
+    """``main`` builds its parser once and still runs the ``cli.cmd_*`` function in place."""
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        import polyquo.cli as cli
+
+        assert main(["divide", MATRIX]) == 0
+
+        def refuse():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main(["divide", MATRIX]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["divide", MATRIX],
+        ["shinv", MATRIX, "--h", "5"],
+        ["bench", "--degrees", "4"],
+    ], ids=["divide", "shinv", "bench"])
+    def test_replaced_command_is_run(self, monkeypatch, argv):
+        import polyquo.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "cmd_" + argv[0], lambda args: seen.append(args) or 7)
+        assert main(argv) == 7
+        assert [args.command for args in seen] == [argv[0]]
+
+    @pytest.mark.parametrize("argv", [
+        ["divide", MATRIX, "--side", "up"],
+        ["bench", "--repeat", "x"],
+        ["shinv", MATRIX],
+        ["frobnicate"],
+    ])
+    def test_usage_errors_exit_2_with_a_fresh_parsers_message(self, capsys, argv):
+        import polyquo.cli as cli
+
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as reused:
+                main(argv)
+            assert (reused.value.code, capsys.readouterr()) == (fresh.value.code, want)
+        assert fresh.value.code == 2 and want.err.startswith("usage: polyquo")

@@ -130,6 +130,59 @@ class TestKaratsubaAgainstElementwise:
                     assert same_poly(got, expected), (la, lb, n, side)
 
 
+# shapes well above the threshold, one operand just past a power of two, and
+# one operand just above the threshold against a long one
+WHOLE_SHAPES = ((1025, 513), (513, 1025), (1024, 1024), (17, 2000), (2000, 17))
+# shapes for operands whose halves cancel at Karatsuba's first split
+CANCELLING_SHAPES = ((17, 17), (34, 34), (40, 33), (33, 40), (64, 200), (200, 64), (257, 129))
+
+
+def cancelling_operand(rng, p, length, m):
+    """operand() with a[m + i] = p - a[i] unless i % 5 == 4, so a[:m] + a[m:] mostly vanishes."""
+    a = operand(rng, p, length)
+    for i in range(m, length):
+        if (i - m) % 5 != 4:
+            a[i] = -a[i - m] % p
+    return a
+
+
+@pytest.mark.parametrize("p", (2, 127, 2**31 - 1))
+class TestWholeProductsAgainstElementwise:
+    """GF's whole packed products, counted by the walk, against the element-wise recursion."""
+
+    def test_large_products_and_mul_mod(self, p):
+        rng = random.Random(p + 10)
+        for la, lb in WHOLE_SHAPES:
+            (u, v), (ru, rv) = dense_pair(rng, p, la, lb)
+            got = counted(u.ring, mul_oriented, u, v, RIGHT)
+            expected = counted(ru.ring, mul_oriented, ru, rv, RIGHT)
+            assert same_poly(got, expected), (la, lb)
+            n = (la + lb) // 2
+            got = counted(u.ring, mul_mod, u, v, n, LEFT)
+            expected = counted(ru.ring, mul_mod, ru, rv, n, LEFT)
+            assert same_poly(got, expected), (la, lb, n)
+
+    def test_cancelling_halves(self, p):
+        rng = random.Random(p + 11)
+        ring, ref = GF(p), ElementwiseGF(p)
+        for la, lb in CANCELLING_SHAPES:
+            m = max(la, lb) // 2
+            a, b = cancelling_operand(rng, p, la, m), cancelling_operand(rng, p, lb, m)
+            for c in (a, b):
+                sums = [(x + y) % p for x, y in zip(c[:m], c[m:])]
+                assert len(sums) == 0 or sums.count(0) > len(sums) // 2, (la, lb)
+            u, v = DensePoly(ring, a), DensePoly(ring, b)
+            ru, rv = DensePoly(ref, a), DensePoly(ref, b)
+            for side in (LEFT, RIGHT):
+                got = counted(ring, mul_oriented, u, v, side)
+                expected = counted(ref, mul_oriented, ru, rv, side)
+                assert same_poly(got, expected), (la, lb, side)
+                for n in (m, la + lb - 2):
+                    got = counted(ring, mul_mod, u, v, n, side)
+                    expected = counted(ref, mul_mod, ru, rv, n, side)
+                    assert same_poly(got, expected), (la, lb, n, side)
+
+
 @pytest.mark.parametrize("p", (7, 127))
 def test_quotients_and_traces_match_elementwise(p):
     rng = random.Random(p + 6)
